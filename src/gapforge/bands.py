@@ -14,8 +14,6 @@ directions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -30,9 +28,11 @@ from .cell import EpsGeometry
 from .errors import GapForgeError, GeometryError, ResolutionError
 from .intervals import ENDPOINT_TOL, IntervalSet
 
-DENSE_LIMIT = 4000
+DENSE_LIMIT = 256  # measured dense/sparse crossover; see README "Band solver"
 ENCLOSURE_SLACK = 1e-8
 _EIGSH_SEED = 0x0BADC0DE
+_CERTIFY_GAP = 1e-9  # relative distance below lambda_k of the inertia count
+_MAX_DEFLATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -313,35 +313,91 @@ def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b, grid: 
 # theta spectra
 
 
+def _symmetric_lu(K: sp.csr_matrix, M: np.ndarray, shift: float):
+    """SuperLU factor of K - shift M with a symmetric fill-reducing ordering
+    and diagonal pivots, so U's diagonal is the D of an LDL^H factorization."""
+    return spla.splu(
+        (K - shift * sp.diags(M)).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _count_below(K: sp.csr_matrix, M: np.ndarray, shift: float) -> int:
+    """Number of pencil eigenvalues below shift: the negative pivots of
+    K - shift M (Sylvester's law of inertia)."""
+    lu = _symmetric_lu(K, M, shift)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise GapForgeError("inertia count needs a symmetric permutation")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
 def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray:
     """Ascending k smallest eigenvalues of the pencil (K, M) with diagonal
-    mass; dense below DENSE_LIMIT unknowns, else shift-invert Lanczos with
-    a deterministic start vector."""
+    mass; K drops to real arithmetic when it has no imaginary part.
+
+    Dense ``eigh`` up to DENSE_LIMIT unknowns (and whenever k >= dim - 1).
+    Above it, shift-invert Lanczos on the standard-form operator
+    x -> R (K - sigma M)^{-1} R x, R = sqrt(M), from one symmetric-ordered
+    SuperLU factorization and a deterministic start vector; its largest
+    eigenvalues nu give lambda = sigma + 1/nu.  Single-vector Lanczos can
+    miss a copy of a multiple eigenvalue, so the count below lambda_k is
+    certified by inertia; eigenvalues it shows missing are found by
+    re-running on the complement of the eigenvectors found so far.
+    """
     dim = K.shape[0]
     if k < 1 or k > dim:
         raise GapForgeError(f"k={k} eigenvalues requested from dimension {dim}")
-    if dim <= DENSE_LIMIT:
+    if np.iscomplexobj(K) and not np.any(K.data.imag):
+        K = K.real
+    if dim <= DENSE_LIMIT or k >= dim - 1:
         s = 1.0 / np.sqrt(M)
         A = K.toarray() * s[:, None] * s[None, :]
         vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
         return np.asarray(vals, dtype=float)
-    if k >= dim - 1:
-        raise GapForgeError(f"sparse path needs k={k} < dim-1={dim - 1}")
     scale = float(K.diagonal().real.sum() / M.sum())
     sigma = -1e-3 * scale - 1e-12
+    lu = _symmetric_lu(K, M, sigma)
+    r = np.sqrt(M)
     rng = np.random.default_rng(_EIGSH_SEED)
     v0 = rng.standard_normal(dim)
-    vals = spla.eigsh(
-        K,
-        k=k,
-        M=sp.diags(M).tocsc(),
-        sigma=sigma,
-        which="LM",
-        v0=v0,
-        return_eigenvectors=False,
-        tol=1e-10,
-    )
-    return np.sort(np.asarray(vals, dtype=float))
+    nu = np.empty(0)
+    vecs = np.empty((dim, 0), dtype=K.dtype)
+    want = k
+    for _ in range(1 + _MAX_DEFLATIONS):
+        Q = np.linalg.qr(vecs)[0]
+
+        def deflate(x, Q=Q):
+            return x - Q @ (Q.conj().T @ x)
+
+        op = spla.LinearOperator(
+            (dim, dim), matvec=lambda x: deflate(r * lu.solve(r * deflate(x.ravel()))), dtype=K.dtype
+        )
+        nu_new, vecs_new = spla.eigsh(op, k=want, which="LA", v0=deflate(v0), tol=1e-10)
+        nu = np.concatenate([nu, nu_new])
+        vecs = np.hstack([vecs, vecs_new])
+        lam = np.sort(sigma + 1.0 / nu)[:k]
+        # the absolute term keeps the cut below a lambda_k that is zero to
+        # rounding (k = 1 at the trivial character, Neumann spectra)
+        cut = lam[-1] * (1.0 - _CERTIFY_GAP) - 1e-12 * scale
+        want = _count_below(K, M, cut) - int(np.count_nonzero(lam < cut))
+        if want == 0:
+            return lam
+        if want < 0 or len(nu) + want >= dim - 1:
+            break
+    raise GapForgeError(f"shift-invert Lanczos: eigenvalue count below {cut:.6g} not certified")
+
+
+def _stiffness(a: np.ndarray, b: np.ndarray, w: np.ndarray, cross: np.ndarray, dim: int) -> sp.csr_matrix:
+    """Edge-sum stiffness: each edge adds w to the diagonal at a and at b,
+    cross at (a, b) and conj(cross) at (b, a).  Endpoint id -1 marks a
+    vertex clamped to zero: its terms drop out."""
+    rows = np.concatenate([a, b, a, b])
+    cols = np.concatenate([a, b, b, a])
+    data = np.concatenate([w, w, cross, np.conj(cross)])
+    live = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((data[live], (rows[live], cols[live])), shape=(dim, dim)).tocsr()
 
 
 def folded_matrices(graph: PeriodCellGraph, theta: Sequence[complex]) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -358,11 +414,7 @@ def folded_matrices(graph: PeriodCellGraph, theta: Sequence[complex]) -> tuple[s
     b = graph.edges[:, 1]
     w = graph.weights
     ra, rb = rep[a], rep[b]
-    cross = -w * np.conj(ph[a]) * ph[b]
-    rows = np.concatenate([ra, rb, ra, rb])
-    cols = np.concatenate([ra, rb, rb, ra])
-    data = np.concatenate([w.astype(complex), w.astype(complex), cross, np.conj(cross)])
-    K = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    K = _stiffness(ra, rb, w.astype(complex), -w * np.conj(ph[a]) * ph[b], dim)
     # duplicate-summation order can differ between (i, j) and (j, i) when
     # several folded edges land on one entry; (K + K^H)/2 is exactly
     # Hermitian in floating point and within one ulp of the raw sum
@@ -380,10 +432,18 @@ def theta_spectrum(graph: PeriodCellGraph, theta: Sequence[complex], k: int) -> 
 
 def theta_grid(resolution: int, ndim: int) -> list[tuple[complex, ...]]:
     """Uniform character grid {exp(2 pi i p / resolution)}^ndim in a fixed
-    deterministic order."""
+    deterministic order.  The roots are exactly closed under conjugation
+    (root[-p] = conj root[p]) and exactly real at p = 0 and 2p = resolution,
+    so real characters fold to real matrices."""
     if resolution < 2:
         raise GapForgeError("theta resolution must be >= 2")
-    roots = [complex(math.cos(2 * math.pi * p / resolution), math.sin(2 * math.pi * p / resolution)) for p in range(resolution)]
+    roots = [
+        complex(math.cos(2 * math.pi * p / resolution), math.sin(2 * math.pi * p / resolution))
+        for p in range(resolution // 2 + 1)
+    ]
+    if resolution % 2 == 0:
+        roots[-1] = -1.0 + 0.0j
+    roots += [roots[resolution - p].conjugate() for p in range(len(roots), resolution)]
     return [tuple(c) for c in product(roots, repeat=ndim)]
 
 
@@ -405,26 +465,21 @@ class BandStructure:
         return csv_lines(header, rows)
 
 
-def _parallel_width() -> int:
-    raw = os.environ.get("GAPFORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> BandStructure:
     """Sweep the character grid; band k is [min_theta, max_theta] of the
     k-th eigenvalue.  Sampled bands only widen under grid refinement, so
-    the detected gaps are conservative."""
+    the detected gaps are conservative.
+
+    Real edge weights give K(conj theta) = conj K(theta), so the two
+    characters share a spectrum: only one of each pair {theta, conj theta}
+    is solved, and its row is copied to the other.
+    """
     points = theta_grid(theta_resolution, graph.ndim)
-    graph.fold_structure()  # build once before any parallel sweep
-    width = _parallel_width()
-    if width > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            table = list(pool.map(lambda t: theta_spectrum(graph, t, K), points))
-    else:
-        table = [theta_spectrum(graph, t, K) for t in points]
+    where = {point: i for i, point in enumerate(points)}  # the grid is closed under conj
+    table: list[np.ndarray] = []
+    for i, point in enumerate(points):
+        j = where[tuple(c.conjugate() for c in point)]
+        table.append(table[j] if j < i else theta_spectrum(graph, point, K))
     eigen_table = np.vstack(table)
     bands = tuple(
         (float(eigen_table[:, kk].min()), float(eigen_table[:, kk].max())) for kk in range(K)
@@ -442,10 +497,12 @@ def _complement_of_bands(bands: Sequence[tuple[float, float]], top: float) -> In
             merged.append([lo, hi])
     gaps: list[tuple[float, float]] = []
     cursor = 0.0
-    for lo, hi in merged:
-        # dedup tolerance also guards against a hair-width leading gap when
-        # the first band edge computes to +epsilon instead of 0
-        if lo > cursor + ENDPOINT_TOL and lo <= top:
+    for i, (lo, hi) in enumerate(merged):
+        # a first band edge that computes to +epsilon instead of 0 is no
+        # gap; that rounding scales with the band scale, so the leading
+        # tolerance does too
+        tol = ENDPOINT_TOL * max(1.0, top) if i == 0 else ENDPOINT_TOL
+        if lo > cursor + tol and lo <= top:
             gaps.append((cursor, min(lo, top)))
         cursor = max(cursor, hi)
         if cursor >= top:
@@ -470,11 +527,7 @@ class EnclosureReport:
 def neumann_spectrum(graph: PeriodCellGraph, k: int) -> np.ndarray:
     """Unfolded cell with free boundary pairs (both copies kept)."""
     a, b = graph.edges[:, 0], graph.edges[:, 1]
-    w = graph.weights.astype(complex)
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    data = np.concatenate([w, w, -w, -w])
-    K = sp.coo_matrix((data, (rows, cols)), shape=(graph.nv, graph.nv)).tocsr()
+    K = _stiffness(a, b, graph.weights, -graph.weights, graph.nv)
     return _smallest_eigenvalues(K, graph.masses, k)
 
 
@@ -485,26 +538,10 @@ def dirichlet_spectrum(graph: PeriodCellGraph, k: int) -> np.ndarray:
         clamped[va] = clamped[vb] = True
     keep = ~clamped
     new_id = -np.ones(graph.nv, dtype=int)
-    new_id[keep] = np.arange(int(keep.sum()))
-    rows_l, cols_l, data_l = [], [], []
-    for (a, b), w in zip(graph.edges, graph.weights):
-        ia, ib = new_id[a], new_id[b]
-        if ia >= 0:
-            rows_l.append(ia)
-            cols_l.append(ia)
-            data_l.append(w)
-        if ib >= 0:
-            rows_l.append(ib)
-            cols_l.append(ib)
-            data_l.append(w)
-        if ia >= 0 and ib >= 0:
-            rows_l.extend([ia, ib])
-            cols_l.extend([ib, ia])
-            data_l.extend([-w, -w])
     dim = int(keep.sum())
-    K = sp.coo_matrix(
-        (np.asarray(data_l, dtype=complex), (rows_l, cols_l)), shape=(dim, dim)
-    ).tocsr()
+    new_id[keep] = np.arange(dim)
+    a, b = new_id[graph.edges[:, 0]], new_id[graph.edges[:, 1]]
+    K = _stiffness(a, b, graph.weights, -graph.weights, dim)
     return _smallest_eigenvalues(K, graph.masses[keep], k)
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from gapforge.bands import PeriodCellGraph
@@ -118,3 +120,39 @@ def dense_folded_oracle(graph, theta, k):
     Mf = S.conj().T @ np.diag(graph.masses) @ S
     vals = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)
     return np.sort(vals.real)[:k]
+
+
+def inertia_count(K, M, shift):
+    """Eigenvalues of the pencil (K, diag M) below shift, by Sylvester's
+    law: the negative pivots of a diagonally pivoted, symmetrically
+    ordered LU of K - shift M."""
+    lu = spla.splu(
+        (K - shift * sp.diags(M)).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return int(np.sum(lu.U.diagonal().real < 0))
+
+
+def dirichlet_loop_matrix(graph):
+    """Reference edge-by-edge assembly of the stiffness with every face
+    vertex clamped: dense matrix and the kept vertex masses."""
+    clamped = np.zeros(graph.nv, dtype=bool)
+    for a, b, _ in graph.boundary_pairs:
+        clamped[a] = clamped[b] = True
+    new_id = -np.ones(graph.nv, dtype=int)
+    new_id[~clamped] = np.arange(int((~clamped).sum()))
+    dim = int((~clamped).sum())
+    K = np.zeros((dim, dim))
+    for (a, b), w in zip(graph.edges, graph.weights):
+        ia, ib = new_id[a], new_id[b]
+        if ia >= 0:
+            K[ia, ia] += w
+        if ib >= 0:
+            K[ib, ib] += w
+        if ia >= 0 and ib >= 0:
+            K[ia, ib] -= w
+            K[ib, ia] -= w
+    return K, graph.masses[~clamped]

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+from gapforge import bands
 from gapforge.bands import (
+    DENSE_LIMIT,
     GridSpec,
     PeriodCellGraph,
     band_structure,
@@ -14,13 +17,19 @@ from gapforge.bands import (
     folded_matrices,
     nd_enclosure,
     neumann_spectrum,
+    theta_grid,
     theta_spectrum,
 )
 from gapforge.cell import eps_scale
 from gapforge.design import BubbleGeometry
 from gapforge.errors import GapForgeError, GeometryError, ResolutionError
 
-from helpers import dense_folded_oracle, small_torus_graph
+from helpers import (
+    dense_folded_oracle,
+    dirichlet_loop_matrix,
+    inertia_count,
+    small_torus_graph,
+)
 
 
 def cycle_cell():
@@ -114,6 +123,36 @@ class TestBandStructure:
             assert b16 >= b8 - 1e-12
 
 
+class TestTimeReversalReuse:
+    @pytest.mark.parametrize("res, solves", [(4, 10), (5, 13)])
+    def test_one_solve_per_conjugate_pair(self, monkeypatch, res, solves):
+        rng = np.random.default_rng(41)
+        g = small_torus_graph(rng, n=4)
+        solved = []
+
+        def counting(graph, theta, k):
+            solved.append(theta)
+            return theta_spectrum(graph, theta, k)
+
+        monkeypatch.setattr(bands, "theta_spectrum", counting)
+        bs = band_structure(g, theta_resolution=res, K=4)
+        assert len(solved) == solves
+        points = np.array(bs.theta_points)
+        for i, point in enumerate(points):
+            j = int(np.argmin(np.abs(points - np.conj(point)).sum(axis=1)))
+            assert np.abs(points[j] - np.conj(point)).max() < 1e-15
+            assert np.array_equal(bs.eigen_table[i], bs.eigen_table[j])
+
+    def test_grid_is_closed_under_conjugation_and_exact_at_real_characters(self):
+        for res in (2, 4, 5, 16):
+            roots = [point[0] for point in theta_grid(res, 1)]
+            for p in range(res):
+                assert roots[-p % res] == roots[p].conjugate()
+            assert roots[0] == 1.0
+            if res % 2 == 0:
+                assert roots[res // 2] == -1.0
+
+
 class TestDetectGaps:
     def _bs(self, bands):
         return band_structure.__wrapped__ if False else type(
@@ -127,6 +166,16 @@ class TestDetectGaps:
     def test_overlap_merged(self):
         bs = self._bs([(0.0, 1.0), (0.5, 3.0)])
         assert detect_gaps(bs, 5.0).intervals == ()
+
+    def test_no_leading_gap_from_rounding_at_zero(self):
+        # a trivial-character lambda_1 that rounds to +5e-12 on bands up to
+        # ~60 is zero, not the edge of a gap [0, 5e-12]
+        bs = self._bs([(5e-12, 10.0), (20.0, 60.0)])
+        assert detect_gaps(bs, 100.0).intervals == ((10.0, 20.0),)
+
+    def test_genuine_leading_gap_kept(self):
+        bs = self._bs([(1e-3, 10.0), (20.0, 60.0)])
+        assert detect_gaps(bs, 100.0).intervals == ((0.0, 1e-3), (10.0, 20.0))
 
     def test_nothing_reported_above_last_band(self):
         bs = self._bs([(0.0, 1.0), (2.0, 3.0)])
@@ -241,6 +290,79 @@ class TestSmallDemoCell:
         assert gap_big[0] < gap_small[0]
 
 
+@pytest.fixture(scope="module")
+def demo_graph():
+    return build_cell_graph(holes=[(0.5, 0.5, 0.05, 0.3)], cell_size=1.0, grid=GridSpec(64))
+
+
+class TestSparsePath:
+    @pytest.mark.parametrize(
+        "theta, dtype",
+        [
+            ((1.0 + 0.0j, -1.0 + 0.0j), np.float64),
+            ((complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(2.5), math.sin(2.5))), np.complex128),
+        ],
+    )
+    def test_matches_dense_oracle_above_dense_limit(self, monkeypatch, theta, dtype):
+        # real characters run in real arithmetic, the others in complex
+        rng = np.random.default_rng(2718)
+        g = small_torus_graph(rng, n=18)
+        assert g.fold_structure()[2] > DENSE_LIMIT
+        seen = []
+        eigsh = bands.spla.eigsh
+
+        def recording(op, **kwargs):
+            seen.append(op.dtype)
+            return eigsh(op, **kwargs)
+
+        monkeypatch.setattr(bands.spla, "eigsh", recording)
+        lam = theta_spectrum(g, theta, 8)
+        oracle = dense_folded_oracle(g, theta, 8)
+        assert np.all(np.abs(lam - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))
+        assert seen and all(d == dtype for d in seen)
+
+    @pytest.mark.parametrize(
+        "graph_name, theta, first, double",
+        [
+            ("demo_graph", (1.0 + 0.0j, 1.0 + 0.0j), 10, 65.7936),
+            ("small_demo_graph", (-1.0 + 0.0j, -1.0 + 0.0j), 9, 64.6082),
+        ],
+    )
+    def test_double_eigenvalue_kept(self, request, graph_name, theta, first, double):
+        # lambda_{first+1} = lambda_{first+2} is a double eigenvalue;
+        # single-vector Lanczos can return one copy and the next eigenvalue
+        # in place of the other.  The count is certified by an independent
+        # inertia count.
+        g = request.getfixturevalue(graph_name)
+        lam = theta_spectrum(g, theta, 12)
+        assert lam[first] == pytest.approx(double, rel=1e-5)
+        assert lam[first + 1] == pytest.approx(lam[first], rel=1e-9)
+        K, M = folded_matrices(g, theta)
+        assert inertia_count(K, M, lam[11] * (1 - 1e-9)) < 12
+        assert inertia_count(K, M, lam[11] * (1 + 1e-9)) >= 12
+
+    def test_neumann_spectrum_certified_on_demo_cell(self, demo_graph):
+        # lambda_11 = lambda_12 of the free cell is double as well
+        lam = neumann_spectrum(demo_graph, 12)
+        assert lam[11] == pytest.approx(lam[10], rel=1e-9)
+        a, b = demo_graph.edges[:, 0], demo_graph.edges[:, 1]
+        W = sp.coo_matrix((demo_graph.weights, (a, b)), shape=(demo_graph.nv,) * 2).tocsr()
+        W = W + W.T
+        K = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+        assert inertia_count(K, demo_graph.masses, lam[11] * (1 - 1e-9)) < 12
+
+    @pytest.mark.parametrize("n, tol", [(5, 1e-12), (20, 1e-9)])
+    def test_dirichlet_matches_loop_assembly(self, n, tol):
+        # n = 5 stays on the dense branch, n = 20 (324 unknowns) goes sparse
+        rng = np.random.default_rng(60 + n)
+        g = small_torus_graph(rng, n=n)
+        K, M = dirichlet_loop_matrix(g)
+        s = 1.0 / np.sqrt(M)
+        ref = scipy.linalg.eigvalsh(K * s[:, None] * s[None, :])[:6]
+        lam = dirichlet_spectrum(g, 6)
+        assert np.all(np.abs(lam - ref) <= tol * np.abs(ref))
+
+
 class TestMonitoredLimits:
     def test_upper_band_neumann_trend(self):
         # lambda_{m+2}^N of the unit cell approaches min(pi^2, n/b^2) as the
@@ -276,13 +398,32 @@ class TestErrorPaths:
         with pytest.raises(GapForgeError):
             theta_spectrum(cycle_cell(), (1.0 + 0.0j,), 40)
 
-    def test_threads_env_preserves_results(self, monkeypatch):
-        rng = np.random.default_rng(77)
-        g = small_torus_graph(rng, n=5)
-        base = band_structure(g, theta_resolution=4, K=3)
-        monkeypatch.setenv("GAPFORGE_THREADS", "3")
-        threaded = band_structure(g, theta_resolution=4, K=3)
-        assert np.array_equal(base.eigen_table, threaded.eigen_table)
+    @pytest.mark.parametrize("excess", ["one_more", "all"])
+    def test_uncertified_count_raises(self, monkeypatch, excess):
+        # an inertia count that deflation cannot match is an error, not a
+        # silently short spectrum
+        rng = np.random.default_rng(5)
+        g = small_torus_graph(rng, n=18)
+        true_count = bands._count_below
+        if excess == "one_more":
+            stub = lambda K, M, shift: true_count(K, M, shift) + 1
+        else:
+            stub = lambda K, M, shift: K.shape[0]
+        monkeypatch.setattr(bands, "_count_below", stub)
+        with pytest.raises(GapForgeError, match="not certified"):
+            theta_spectrum(g, (1.0 + 0.0j, 1.0 + 0.0j), 4)
+
+    def test_k_near_dimension_uses_dense_branch(self):
+        # shift-invert Lanczos needs k < dim - 1; the dense branch covers
+        # the rest even above DENSE_LIMIT
+        rng = np.random.default_rng(5)
+        g = small_torus_graph(rng, n=18)
+        dim = g.fold_structure()[2]
+        assert dim > DENSE_LIMIT
+        theta = (1.0 + 0.0j, 1.0 + 0.0j)
+        lam = theta_spectrum(g, theta, dim)
+        oracle = dense_folded_oracle(g, theta, dim)
+        assert np.max(np.abs(lam - oracle)) < 1e-9
 
 
 def test_demo_gap_matches_homogenized_prediction(small_demo_graph):
