@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from ._fmt import csv_lines
 from .cell import EpsGeometry
 from .errors import GapForgeError, GeometryError, ResolutionError
-from .intervals import ENDPOINT_TOL, IntervalSet
+from .intervals import IntervalSet, complement_on
 
 DENSE_LIMIT = 256  # measured dense/sparse crossover; see README "Band solver"
 ENCLOSURE_SLACK = 1e-8
@@ -452,7 +452,6 @@ class BandStructure:
     theta_points: tuple[tuple[complex, ...], ...]
     eigen_table: np.ndarray  # (num theta, K)
     bands: tuple[tuple[float, float], ...]
-    gaps: IntervalSet
 
     def to_csv_lines(self) -> list[str]:
         ndim = len(self.theta_points[0])
@@ -484,37 +483,13 @@ def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> Ban
     bands = tuple(
         (float(eigen_table[:, kk].min()), float(eigen_table[:, kk].max())) for kk in range(K)
     )
-    gaps = _complement_of_bands(bands, bands[-1][1])
-    return BandStructure(tuple(points), eigen_table, bands, gaps)
-
-
-def _complement_of_bands(bands: Sequence[tuple[float, float]], top: float) -> IntervalSet:
-    merged: list[list[float]] = []
-    for lo, hi in sorted(bands):
-        if merged and lo - merged[-1][1] <= ENDPOINT_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    gaps: list[tuple[float, float]] = []
-    cursor = 0.0
-    for i, (lo, hi) in enumerate(merged):
-        # a first band edge that computes to +epsilon instead of 0 is no
-        # gap; that rounding scales with the band scale, so the leading
-        # tolerance does too
-        tol = ENDPOINT_TOL * max(1.0, top) if i == 0 else ENDPOINT_TOL
-        if lo > cursor + tol and lo <= top:
-            gaps.append((cursor, min(lo, top)))
-        cursor = max(cursor, hi)
-        if cursor >= top:
-            break
-    return IntervalSet(tuple(gaps))
+    return BandStructure(tuple(points), eigen_table, bands)
 
 
 def detect_gaps(bs: BandStructure, L: float) -> IntervalSet:
-    """Open gaps strictly inside [0, min(L, b_K)]; nothing is reported
-    above the last computed band (unknown territory)."""
-    top = min(float(L), bs.bands[-1][1])
-    return _complement_of_bands(bs.bands, top)
+    """Open gaps inside [0, min(L, b_K)]; nothing is reported above the
+    last computed band (unknown territory)."""
+    return complement_on(bs.bands, min(float(L), bs.bands[-1][1]))
 
 
 @dataclass(frozen=True)
@@ -545,15 +520,14 @@ def dirichlet_spectrum(graph: PeriodCellGraph, k: int) -> np.ndarray:
     return _smallest_eigenvalues(K, graph.masses[keep], k)
 
 
-def nd_enclosure(graph: PeriodCellGraph, k: int, theta_resolution: int = 8) -> EnclosureReport:
-    """Check lambda_k^N <= lambda_k^theta <= lambda_k^D over the sampled
-    character grid (slack ENCLOSURE_SLACK)."""
-    neu = neumann_spectrum(graph, k)
-    diri = dirichlet_spectrum(graph, k)
-    ok = True
-    for point in theta_grid(theta_resolution, graph.ndim):
-        lam = theta_spectrum(graph, point, k)
-        if np.any(lam < neu - ENCLOSURE_SLACK) or np.any(lam > diri + ENCLOSURE_SLACK):
-            ok = False
-            break
+def nd_enclosure(graph: PeriodCellGraph, bs: BandStructure) -> EnclosureReport:
+    """Check lambda_k^N <= lambda_k^theta <= lambda_k^D on every row of the
+    swept band table of ``graph`` (slack ENCLOSURE_SLACK)."""
+    table = bs.eigen_table
+    neu = neumann_spectrum(graph, table.shape[1])
+    diri = dirichlet_spectrum(graph, table.shape[1])
+    ok = bool(
+        np.all(table >= neu[None, :] - ENCLOSURE_SLACK)
+        and np.all(table <= diri[None, :] + ENCLOSURE_SLACK)
+    )
     return EnclosureReport(neu, diri, ok)

@@ -574,13 +574,20 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
+def richardson_lambda1(lam_coarse: float, lam_fine: float) -> tuple[float, float]:
+    """Richardson pair of first eigenvalues at (N, 2N) nodes per segment:
+    extrapolated limit and the observed |lambda(2N) - lambda(N)| as an
+    error gauge (the scheme is second order, so the extrapolation removes
+    the h^2 term)."""
+    return lam_fine + (lam_fine - lam_coarse) / 3.0, abs(lam_fine - lam_coarse)
+
+
 def mesh_converged_lambda1(geom: EpsGeometry, j: int, resolution: int = 384) -> tuple[float, float]:
-    """Richardson pair at (N, 2N) nodes per segment: extrapolated first
-    eigenvalue and the observed |lambda(2N) - lambda(N)| as an error gauge
-    (the scheme is second order, so the extrapolation removes the h^2 term)."""
+    """:func:`richardson_lambda1` at (resolution, 2*resolution) nodes per
+    segment."""
     lam_a = radial_eigenvalues(build_radial_cell(geom, j, resolution), 1)[0]
     lam_b = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 1)[0]
-    return lam_b + (lam_b - lam_a) / 3.0, abs(lam_b - lam_a)
+    return richardson_lambda1(lam_a, lam_b)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +667,12 @@ def convergence_table(
     rows = []
     for eps in eps_list:
         geom = eps_scale(base, eps)
-        lam1, _ = mesh_converged_lambda1(geom, j, resolution)
-        lam2 = float(radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2)[1])
+        # one solve per cell: radial_eigenvalues bisects each eigenvalue on
+        # its own, so lambda1 of a k = 2 solve is the k = 1 value bit for bit
+        coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), 1)
+        fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2)
+        lam1, _ = richardson_lambda1(coarse[0], fine[0])
+        lam2 = float(fine[1])
         bound = trial_rayleigh(geom, j)
         rows.append(
             ConvergenceRow(

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field, fields as dc_fields
 from typing import Any, Sequence
 
 from ._fmt import dumps_json
-from .bands import GridSpec, band_structure, build_cell_graph, detect_gaps
+from .bands import BandStructure, GridSpec, band_structure, build_cell_graph, detect_gaps
 from .cell import (
     build_radial_cell,
     convergence_rows_csv,
     convergence_table,
     eps_scale,
     junction_flux,
-    mesh_converged_lambda1,
     radial_eigenvalues,
+    richardson_lambda1,
     trial_rayleigh,
 )
 from .design import HomogenizedModel, design_geometry, solve_weight_system, weights_closed_form
@@ -61,7 +61,6 @@ class RunConfig:
     with_convergence: bool = False
     with_bands: bool = False
     out: str = "."
-    format: str = "json"
 
 
 def _known_fields() -> dict[str, type]:
@@ -123,8 +122,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("eps", f"eps={cfg.eps} must be > 0")
     if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
         raise ConfigError("eps_list", "eps_list must be strictly decreasing")
-    if cfg.format not in ("json", "csv"):
-        raise ConfigError("format", f"format={cfg.format!r} must be json or csv")
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
@@ -225,9 +222,9 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
     geom_base, model = design_geometry(spec, cfg.kappa)
     eps = cfg.eps if cfg.eps is not None else cfg.eps_list[-1]
     geom = eps_scale(geom_base, eps)
-    cell = build_radial_cell(geom, cfg.channel, cfg.resolution)
-    lam = radial_eigenvalues(cell, cfg.num_eigs)
-    lam1_limit, gauge = mesh_converged_lambda1(geom, cfg.channel, cfg.resolution)
+    lam = radial_eigenvalues(build_radial_cell(geom, cfg.channel, cfg.resolution), cfg.num_eigs)
+    lam_fine = radial_eigenvalues(build_radial_cell(geom, cfg.channel, 2 * cfg.resolution), 1)
+    lam1_limit, gauge = richardson_lambda1(lam[0], lam_fine[0])
     bound = trial_rayleigh(geom, cfg.channel)
     flux = junction_flux(geom, cfg.channel)
     payload = {
@@ -253,13 +250,17 @@ def _run_convergence(cfg: RunConfig) -> Report:
     return Report("pass", [{"name": "convergence", "pass": True}], [path])
 
 
-def _run_bands(cfg: RunConfig) -> Report:
+def _band_structure(cfg: RunConfig) -> BandStructure:
     graph = build_cell_graph(
         holes=[tuple(hole) for hole in cfg.holes],
         cell_size=cfg.cell_size,
         grid=GridSpec(cfg.base_resolution),
     )
-    bs = band_structure(graph, cfg.theta_grid, cfg.num_bands)
+    return band_structure(graph, cfg.theta_grid, cfg.num_bands)
+
+
+def _run_bands(cfg: RunConfig) -> Report:
+    bs = _band_structure(cfg)
     L = cfg.L if cfg.L is not None else bs.bands[-1][1]
     gaps = detect_gaps(bs, L)
     csv_path = _write(cfg, "bands.csv", "\n".join(bs.to_csv_lines()))
@@ -321,12 +322,7 @@ def _run_verify(cfg: RunConfig) -> Report:
             }
         )
     if cfg.with_bands:
-        graph = build_cell_graph(
-            holes=[tuple(hole) for hole in cfg.holes],
-            cell_size=cfg.cell_size,
-            grid=GridSpec(cfg.base_resolution),
-        )
-        bs = band_structure(graph, cfg.theta_grid, cfg.num_bands)
+        bs = _band_structure(cfg)
         gaps_bands = detect_gaps(bs, bs.bands[-1][1])
         checks.append(
             {
@@ -383,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--intervals", help="targets as 'a1,b1;a2,b2'")
         p.add_argument("--dim", type=int, dest="n", help="ambient dimension n >= 2")
         p.add_argument("--delta", type=float, help="edge tolerance")
@@ -412,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: missing command; valid commands: {', '.join(COMMANDS)}", file=sys.stderr)
         return 2
     overrides: dict[str, Any] = {"command": args.command}
-    for key in ("out", "format", "n", "delta", "L", "kappa", "count", "eps", "resolution",
+    for key in ("out", "n", "delta", "L", "kappa", "count", "eps", "resolution",
                 "num_eigs", "theta_grid", "num_bands", "channel", "base_resolution",
                 "with_convergence", "with_bands"):
         overrides[key] = getattr(args, key)
@@ -433,13 +428,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         report = run_pipeline(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc.field}: {exc}", file=sys.stderr)
-        return 2
     except GapForgeError as exc:
         _write(cfg, f"{cfg.command.replace('-', '_')}_error.json",
                dumps_json({"status": "error", "error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
+        field = f"{exc.field}: " if isinstance(exc, ConfigError) else ""
+        print(f"error: {field}{exc}", file=sys.stderr)
         return 2
     for check in report.checks:
         print(f"{check['name']}: {'pass' if check['pass'] else 'FAIL'}")

@@ -79,33 +79,17 @@ def _shrink_into(f: Callable[[float], float], pole: float, other: float, want_ne
 
 def mu_roots(model: HomogenizedModel) -> tuple[float, ...]:
     """Roots mu_1 < ... < mu_m of F, one per interval (sigma_j, sigma_{j+1})
-    plus one in (sigma_m, inf); cached into ``model.mu``."""
+    plus one in (sigma_m, inf): the nonzero solutions of lambda F = 0.
+    Cached into ``model.mu``."""
     if model.mu is not None:
         return model.mu
-    m = model.m
-    if m == 0:
-        model.mu = ()
-        return ()
-    f = lambda lam: f_eval(model, lam)
-    roots = []
-    for j in range(m - 1):
-        lo = _shrink_into(f, model.sigma[j], model.sigma[j + 1], want_negative=True)
-        hi = _shrink_into(f, model.sigma[j + 1], model.sigma[j], want_negative=False)
-        roots.append(_bisect(f, lo, hi))
-    # last root: safe initial upper bound, doubled until the sign flips
-    srho = sum(model.rho)
-    ssig = sum(s * r for s, r in zip(model.sigma, model.rho))
-    hi = model.sigma[-1] * (1.0 + srho) + ssig
-    while f(hi) <= 0.0:
-        hi *= 2.0
-    lo = _shrink_into(f, model.sigma[-1], hi, want_negative=True)
-    roots.append(_bisect(f, lo, hi))
+    roots = level_set_roots(model, 0.0)[1:]
     for j, mu in enumerate(roots):
         left = model.sigma[j]
-        right = model.sigma[j + 1] if j + 1 < m else math.inf
+        right = model.sigma[j + 1] if j + 1 < model.m else math.inf
         assert left < mu < right, f"interlacing violated at root {j}"
-    model.mu = tuple(roots)
-    return model.mu
+    model.mu = roots
+    return roots
 
 
 def level_set_roots(model: HomogenizedModel, a: float) -> tuple[float, ...]:

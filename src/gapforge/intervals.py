@@ -66,15 +66,7 @@ class IntervalSet:
     def merged_closed(self) -> "IntervalSet":
         """Union of the closures; touching intervals (gap <= ENDPOINT_TOL)
         are coalesced."""
-        if not self.intervals:
-            return self
-        out = [list(self.intervals[0])]
-        for lo, hi in self.intervals[1:]:
-            if lo - out[-1][1] <= ENDPOINT_TOL:
-                out[-1][1] = max(out[-1][1], hi)
-            else:
-                out.append([lo, hi])
-        return IntervalSet(tuple((a, b) for a, b in out))
+        return IntervalSet(_merge_closed(self.intervals))
 
     def to_json(self) -> list[list[float]]:
         return [[lo, hi] for lo, hi in self.intervals]
@@ -142,17 +134,38 @@ def validate_gap_spec(
     return GapSpec(IntervalSet(tuple(pairs)), int(n), float(delta), float(horizon))
 
 
-def complement_on(bands: IntervalSet, L: float) -> IntervalSet:
-    """Open complement of the closed union of ``bands`` inside [0, L]."""
+def _merge_closed(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Sorted union of closed intervals; pieces whose gap is at most
+    ENDPOINT_TOL are coalesced."""
+    out: list[list[float]] = []
+    for lo, hi in sorted(pairs):
+        if out and lo - out[-1][1] <= ENDPOINT_TOL:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
+
+
+def complement_on(bands: Iterable[Sequence[float]], L: float) -> IntervalSet:
+    """Open complement of the closed union of ``bands`` inside [0, L].
+
+    ``bands`` is any iterable of closed (lo, hi) pairs, an IntervalSet
+    included; pairs may overlap, and a degenerate one (lo == hi) still
+    splits a gap.  A first band edge within ENDPOINT_TOL * max(1, L) of 0
+    is no gap: an eigenvalue that should be 0 computes to +-epsilon on the
+    scale of the spectrum.  A gap that straddles L is truncated at L.
+    """
     if not (L > 0.0):
         raise IntervalError(f"window length L={L} must be > 0")
-    merged = bands.clipped(0.0, L).merged_closed()
+    clipped = [(max(float(lo), 0.0), min(float(hi), L)) for lo, hi in bands]
     gaps: list[tuple[float, float]] = []
     cursor = 0.0
-    for lo, hi in merged:
-        if lo > cursor:
+    tol = ENDPOINT_TOL * max(1.0, L)
+    for lo, hi in _merge_closed(p for p in clipped if p[1] >= p[0]):
+        if lo > cursor + tol:
             gaps.append((cursor, lo))
-        cursor = max(cursor, hi)
+        cursor = hi
+        tol = ENDPOINT_TOL
     if cursor < L:
         gaps.append((cursor, L))
     return IntervalSet(tuple(gaps))

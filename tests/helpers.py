@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from gapforge.bands import PeriodCellGraph
-from gapforge.intervals import GapSpec, IntervalSet, validate_gap_spec
+from gapforge.intervals import ENDPOINT_TOL, GapSpec, IntervalSet, validate_gap_spec
 
 
 def random_gap_spec(rng: np.random.Generator, m: int, n: int, lo: float = 0.0, hi: float = 100.0,
@@ -156,3 +156,47 @@ def dirichlet_loop_matrix(graph):
             K[ia, ib] -= w
             K[ib, ia] -= w
     return K, graph.masses[~clamped]
+
+
+def reference_complement_of_bands(bands, top):
+    """Band-gap complement as the band module computed it before it used
+    ``intervals.complement_on``: the frozen reference for that function
+    on band tables with L = b_K or L inside a band."""
+    merged = []
+    for lo, hi in sorted(bands):
+        if merged and lo - merged[-1][1] <= ENDPOINT_TOL:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    gaps = []
+    cursor = 0.0
+    for i, (lo, hi) in enumerate(merged):
+        tol = ENDPOINT_TOL * max(1.0, top) if i == 0 else ENDPOINT_TOL
+        if lo > cursor + tol and lo <= top:
+            gaps.append((cursor, min(lo, top)))
+        cursor = max(cursor, hi)
+        if cursor >= top:
+            break
+    return IntervalSet(tuple(gaps))
+
+
+def random_band_table(rng):
+    """Bands (min_theta, max_theta) of K sorted eigenvalue columns: both
+    edge sequences nondecreasing, the first edge 0 to rounding, and
+    overlapping, touching (within ENDPOINT_TOL), separated and flat bands
+    all drawn."""
+    lo = float(rng.choice([0.0, 1e-12, -1e-12, 3e-12, -3e-12, 5e-12]))
+    hi = lo + float(rng.uniform(0.01, 5.0))
+    bands = [(lo, hi)]
+    for _ in range(int(rng.integers(0, 8))):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            lo = float(rng.uniform(lo, hi))
+        elif kind == 1:
+            lo = hi + float(rng.choice([0.0, 1e-13, 5e-13, 1e-12, 2e-12]))
+        else:
+            lo = hi + float(rng.uniform(0.01, 5.0))
+        width = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
+        hi = max(hi, lo + width)
+        bands.append((lo, hi))
+    return bands

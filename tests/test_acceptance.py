@@ -17,9 +17,8 @@ from gapforge.bands import (
     band_structure,
     build_cell_graph,
     detect_gaps,
-    dirichlet_spectrum,
     folded_matrices,
-    neumann_spectrum,
+    nd_enclosure,
     theta_spectrum,
 )
 from gapforge.cell import (
@@ -257,12 +256,7 @@ def test_criterion_09_floquet_property_suite():
     trivial_ok = abs(lam_triv) < 1e-10
 
     # (c) Neumann/Dirichlet enclosure across the full sweep, k <= 12
-    neu = neumann_spectrum(graph, DEMO_BANDS)
-    diri = dirichlet_spectrum(graph, DEMO_BANDS)
-    table = bs.eigen_table
-    enclosure_ok = bool(
-        np.all(table >= neu[None, :] - 1e-8) and np.all(table <= diri[None, :] + 1e-8)
-    )
+    enclosure_ok = nd_enclosure(graph, bs).enclosure_ok
 
     # (d) a detected gap whose lower edge drops when the bubble grows
     gaps = detect_gaps(bs, 50.0)

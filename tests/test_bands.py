@@ -182,6 +182,10 @@ class TestDetectGaps:
         gaps = detect_gaps(bs, 100.0)
         assert gaps.intervals == ((1.0, 2.0),)
 
+    def test_gap_straddling_L_truncated(self):
+        bs = self._bs([(0.0, 1.0), (2.0, 3.0)])
+        assert detect_gaps(bs, 1.5).intervals == ((1.0, 1.5),)
+
 
 class TestBuilder:
     def test_total_mass_near_analytic(self):
@@ -255,9 +259,25 @@ class TestEnclosure:
     def test_enclosure_on_small_graph(self):
         rng = np.random.default_rng(15)
         g = small_torus_graph(rng, n=5)
-        rep = nd_enclosure(g, 3, theta_resolution=6)
+        rep = nd_enclosure(g, band_structure(g, 6, 3))
         assert rep.enclosure_ok
         assert rep.neumann[0] <= rep.dirichlet[0]
+
+    def test_enclosure_reuses_the_sweep(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        g = small_torus_graph(rng, n=5)
+        bs = band_structure(g, 8, 3)
+        calls = []
+        monkeypatch.setattr(bands, "theta_spectrum", lambda *args: calls.append(args))
+        assert nd_enclosure(g, bs).enclosure_ok
+        assert calls == []
+
+    def test_enclosure_flags_a_row_outside(self):
+        rng = np.random.default_rng(15)
+        g = small_torus_graph(rng, n=5)
+        bs = band_structure(g, 4, 3)
+        bs.eigen_table[-1, 1] = dirichlet_spectrum(g, 3)[1] + 1e-6
+        assert not nd_enclosure(g, bs).enclosure_ok
 
     def test_dirichlet_dominates_neumann(self):
         rng = np.random.default_rng(16)

@@ -164,6 +164,16 @@ class TestCommands:
     def test_bad_intervals_flag_exit_two(self, tmp_path):
         assert main(["design", "--intervals", "1;2", "--out", str(tmp_path)]) == 2
 
+    def test_config_error_in_pipeline_writes_error_json(self, tmp_path, capsys):
+        assert main(["design", "--out", str(tmp_path)]) == 2
+        doc = json.loads(read(tmp_path / "design_error.json"))
+        assert doc["status"] == "error" and "intervals" in doc["error"]
+        assert "error: intervals:" in capsys.readouterr().err
+
+    def test_format_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["design", "--intervals", "1,2", "--format", "csv", "--out", str(tmp_path)])
+
 
 class TestDeterminism:
     def test_identical_configs_byte_identical_outputs(self, tmp_path):

@@ -12,7 +12,12 @@ from gapforge.intervals import (
     validate_gap_spec,
 )
 
-from helpers import hausdorff_grid_oracle, random_gap_spec
+from helpers import (
+    hausdorff_grid_oracle,
+    random_band_table,
+    random_gap_spec,
+    reference_complement_of_bands,
+)
 
 
 class TestIntervalSet:
@@ -96,6 +101,25 @@ class TestComplement:
 
     def test_empty_input(self):
         assert complement_on(IntervalSet(()), 4.0).intervals == ((0.0, 4.0),)
+
+    def test_degenerate_band_splits_gap(self):
+        bands = [(0.0, 1.0), (2.5, 2.5), (4.0, 6.0)]
+        assert complement_on(bands, 6.0).intervals == ((1.0, 2.5), (2.5, 4.0))
+
+    def test_overlapping_pairs_merged(self):
+        bands = [(2.0, 5.0), (0.0, 1.0), (0.5, 1.5), (3.0, 4.0)]
+        assert complement_on(bands, 6.0).intervals == ((1.5, 2.0), (5.0, 6.0))
+
+    def test_matches_band_module_reference(self):
+        # the band table rule that complement_on absorbed, on tables with
+        # L = b_K or L inside a band (where the two must agree exactly)
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            bands = random_band_table(rng)
+            top = bands[-1][1]
+            lo, hi = bands[int(rng.integers(0, len(bands)))]
+            for L in (top, float(rng.uniform(max(lo, 1e-3), max(hi, 1e-3)))):
+                assert complement_on(bands, L) == reference_complement_of_bands(bands, L)
 
     def test_double_complement_identity(self):
         rng = np.random.default_rng(7)
