@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from ._fmt import csv_lines
 from .cell import EpsGeometry
@@ -37,12 +38,10 @@ _MAX_DEFLATIONS = 3
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution knobs for the cell builder: square grid cells per side
-    and (optionally) the number of polar rings per bubble (default: match
-    the flat grid spacing on the sphere)."""
+    """Resolution of the cell builder: square grid cells per side; each
+    bubble gets polar rings at the flat grid spacing."""
 
     base_resolution: int = 64
-    polar_points: int | None = None
 
 
 @dataclass
@@ -55,7 +54,6 @@ class PeriodCellGraph:
     weights: np.ndarray
     boundary_pairs: tuple[tuple[int, int, int], ...]  # (a, b, direction 1..ndim)
     ndim: int
-    meta: dict = field(default_factory=dict)
     _fold: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -71,21 +69,10 @@ class PeriodCellGraph:
             pairs = [(a, b) for a, b, dd in self.boundary_pairs if dd == d]
             if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
                 raise GeometryError(f"boundary pairs in direction {d} are not a bijection")
-        # connectivity over edges
-        adj: list[list[int]] = [[] for _ in range(self.nv)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(self.nv, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        if not seen.all():
+        adj = sp.coo_matrix(
+            (np.ones(len(self.edges)), (self.edges[:, 0], self.edges[:, 1])), shape=(self.nv, self.nv)
+        )
+        if connected_components(adj, directed=False, return_labels=False) != 1:
             raise GeometryError("period-cell graph is not connected")
 
     def fold_structure(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -94,46 +81,26 @@ class PeriodCellGraph:
         phase(p) = prod_d conj(theta_d)^shift[p, d]."""
         if self._fold is not None:
             return self._fold
-        nv, nd = self.nv, self.ndim
-        comp = -np.ones(nv, dtype=int)
-        shift = np.zeros((nv, nd), dtype=int)
-        rel: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-        for a, b, d in self.boundary_pairs:
-            rel[a].append((b, d))
-            rel[b].append((a, -d))
-        n_comp = 0
-        for root in range(nv):
-            if comp[root] >= 0:
-                continue
-            comp[root] = n_comp
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for u, d in rel[v]:
-                    t = shift[v].copy()
-                    t[abs(d) - 1] += 1 if d > 0 else -1
-                    if comp[u] < 0:
-                        comp[u] = n_comp
-                        shift[u] = t
-                        stack.append(u)
-                    elif not np.array_equal(shift[u], t):
-                        raise GeometryError("inconsistent boundary identifications")
-            n_comp += 1
-        # component ids are already 0..n_comp-1 in vertex order
-        self._fold = (comp, shift, n_comp)
+        a, b, d = np.asarray(self.boundary_pairs, dtype=int).reshape(-1, 3).T
+        step = np.eye(self.ndim, dtype=int)[d - 1]  # shift[b] - shift[a] of each pair
+        pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(self.nv, self.nv))
+        n_comp, labels = connected_components(pairs, directed=False)
+        comp = labels.astype(int)  # labelled in order of each component's first vertex
+        shift = np.zeros((self.nv, self.ndim), dtype=int)
+        known = np.zeros(self.nv, dtype=bool)
+        known[np.unique(comp, return_index=True)[1]] = True
+        while True:
+            fwd, back = known[a] & ~known[b], known[b] & ~known[a]
+            if not (fwd.any() or back.any()):
+                break
+            shift[b[fwd]] = shift[a[fwd]] + step[fwd]
+            shift[a[back]] = shift[b[back]] - step[back]
+            known[b[fwd]] = True
+            known[a[back]] = True
+        if np.any(shift[b] - shift[a] != step):
+            raise GeometryError("inconsistent boundary identifications")
+        self._fold = (comp, shift, int(n_comp))
         return self._fold
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [{"id": i, "mass": float(m)} for i, m in enumerate(self.masses)],
-            "edges": [
-                {"a": int(a), "b": int(b), "w": float(w)}
-                for (a, b), w in zip(self.edges, self.weights)
-            ],
-            "boundary_pairs": [
-                {"a": int(a), "b": int(b), "dir": int(d)} for a, b, d in self.boundary_pairs
-            ],
-        }
 
 
 def build_cell_graph(
@@ -210,7 +177,7 @@ def build_cell_graph(
                 weights.append(0.5 if i in (0, N) else 1.0)
 
     for cx, cy, r, b in holes:
-        _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b, grid)
+        _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b)
 
     pairs: list[tuple[int, int, int]] = []
     for j in range(N + 1):
@@ -224,17 +191,12 @@ def build_cell_graph(
         weights=np.asarray(weights),
         boundary_pairs=tuple(pairs),
         ndim=2,
-        meta={
-            "cell_size": cell_size,
-            "base_resolution": N,
-            "holes": [list(hole) for hole in holes],
-        },
     )
     graph.validate()
     return graph
 
 
-def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b, grid: GridSpec):
+def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b):
     """Latitude-longitude graph on the truncated sphere of radius b,
     identified ring-to-ring with the hole-boundary vertices of the square
     grid (angular matching); masses are exact cell areas on the sphere."""
@@ -270,7 +232,7 @@ def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b, grid: 
     gap = np.diff(np.concatenate([phis, [phis[0] + 2 * math.pi]]))
 
     theta0 = math.asin(r / b)
-    P = grid.polar_points or max(8, round((math.pi - theta0) * b / h))
+    P = max(8, round((math.pi - theta0) * b / h))
     dth = (math.pi - theta0) / P
     angles = [theta0 + p * dth for p in range(P + 1)]
 

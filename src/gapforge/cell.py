@@ -239,11 +239,18 @@ class JunctionFlux:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def _gauss(
+    lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points and scaled weights of every element [lo, hi]; the
+    reference rule on [-1, 1] broadcasts along the last axis."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * nodes, half * weights
+
+
 def _gl_mesh_integrate(f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray) -> float:
-    a, b = mesh[:-1, None], mesh[1:, None]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL_NODES[None, :]
-    return float(np.sum(half * _GL_WEIGHTS[None, :] * f(x)))
+    x, wq = _gauss(mesh[:-1, None], mesh[1:, None], _GL_NODES, _GL_WEIGHTS)
+    return float(np.sum(wq * f(x)))
 
 
 def _cap_mesh(theta: float, density: int) -> np.ndarray:
@@ -257,27 +264,24 @@ def _cap_mesh(theta: float, density: int) -> np.ndarray:
     return np.linspace(theta, half, max(int(3 * density), 8))
 
 
-def _F_on_gl_nodes(mesh: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(theta) at the Gauss nodes of every mesh element (anchored at
-    F(pi/2) = 0 at the right end of the mesh)."""
-    a, b = mesh[:-1, None], mesh[1:, None]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL_NODES[None, :]
+def _F_on_gl_nodes(mesh: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of every mesh element and F(theta) at the
+    nodes (anchored at F(pi/2) = 0 at the right end of the mesh)."""
+    a = mesh[:-1, None]
+    x, wq = _gauss(a, mesh[1:, None], _GL_NODES, _GL_WEIGHTS)
 
     def integrand(y: np.ndarray) -> np.ndarray:
         return np.sin(y) ** (1 - n)
 
     # integral of sin^(1-n) over each full element
-    per_elem = np.sum(half * _GL_WEIGHTS[None, :] * integrand(x), axis=1)
+    per_elem = np.sum(wq * integrand(x), axis=1)
     F_mesh = np.zeros(len(mesh))
     F_mesh[:-1] = -np.cumsum(per_elem[::-1])[::-1]  # F at mesh points, F(end)=0
     # partial integrals from the element's left endpoint to each node
-    mid2 = 0.5 * (a + x)
-    half2 = 0.5 * (x - a)
-    y = mid2[:, :, None] + half2[:, :, None] * _GL_NODES[None, None, :]
-    partial = np.sum(half2[:, :, None] * _GL_WEIGHTS[None, None, :] * integrand(y), axis=2)
+    y, wq2 = _gauss(a[:, :, None], x[:, :, None], _GL_NODES, _GL_WEIGHTS)
+    partial = np.sum(wq2 * integrand(y), axis=2)
     F_nodes = F_mesh[:-1, None] + partial
-    return x, F_nodes
+    return x, wq, F_nodes
 
 
 def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
@@ -289,16 +293,14 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
 
     # cap [theta, pi/2] with the cutoff-modified profile v = 1 + C F Phi
     mesh_c = _cap_mesh(tf.theta, density)
-    x, F_nodes = _F_on_gl_nodes(mesh_c, n)
-    a_, b_ = mesh_c[:-1, None], mesh_c[1:, None]
-    half = 0.5 * (b_ - a_)
+    x, wq, F_nodes = _F_on_gl_nodes(mesh_c, n)
     sin_pow = np.sin(x) ** (n - 1)
     phi = cutoff_profile(x)
     dphi = cutoff_profile_deriv(x)
     dv = tf.C * (np.sin(x) ** (1 - n) * phi + F_nodes * dphi)
     v = 1.0 + tf.C * F_nodes * phi
-    num_cap = float(np.sum(half * _GL_WEIGHTS[None, :] * dv**2 * sin_pow))
-    den_cap = float(np.sum(half * _GL_WEIGHTS[None, :] * v**2 * sin_pow))
+    num_cap = float(np.sum(wq * dv**2 * sin_pow))
+    den_cap = float(np.sum(wq * v**2 * sin_pow))
 
     # tail [pi/2, pi] where v == 1
     mesh_t = np.linspace(0.5 * math.pi, math.pi, max(density, 8))
@@ -410,9 +412,7 @@ def _segment_matrices(nodes: np.ndarray, wfun, mfun) -> tuple[np.ndarray, np.nda
     int m phi_i, both by 3-point Gauss (positive even at degenerate
     endpoints because the Gauss points are interior)."""
     a, b = nodes[:-1, None], nodes[1:, None]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL3_NODES[None, :]
-    wq = half * _GL3_WEIGHTS[None, :]
+    x, wq = _gauss(a, b, _GL3_NODES, _GL3_WEIGHTS)
     stiff = np.sum(wq * wfun(x), axis=1)
     mvals = wq * mfun(x)
     # linear hat functions on the element
@@ -549,6 +549,13 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     # Dirichlet at the first path node
     diag, mass = diag[1:], mass[1:]
     off = off[1:]
+    # a zero or subnormal lumped mass overflows the Gershgorin bound K/M
+    finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+    if not (finite and np.all(mass >= np.finfo(float).tiny)):
+        raise ScaleError(
+            "radial pencil not representable at this scale (lumped mass below the smallest"
+            " normal float or a non-finite stiffness); increase eps"
+        )
     if k < 1 or k > len(diag):
         raise ResolutionError(f"k={k} eigenvalues requested from a {len(diag)}-unknown cell")
     Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
@@ -582,14 +589,6 @@ def richardson_lambda1(lam_coarse: float, lam_fine: float) -> tuple[float, float
     return lam_fine + (lam_fine - lam_coarse) / 3.0, abs(lam_fine - lam_coarse)
 
 
-def mesh_converged_lambda1(geom: EpsGeometry, j: int, resolution: int = 384) -> tuple[float, float]:
-    """:func:`richardson_lambda1` at (resolution, 2*resolution) nodes per
-    segment."""
-    lam_a = radial_eigenvalues(build_radial_cell(geom, j, resolution), 1)[0]
-    lam_b = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 1)[0]
-    return richardson_lambda1(lam_a, lam_b)
-
-
 # ---------------------------------------------------------------------------
 # reference limits and the convergence table
 
@@ -603,13 +602,13 @@ class ReferenceLimits:
     L_lambda_m_plus_2: float
 
 
-def reference_limits(base: BubbleGeometry, kappa: float, j: int) -> ReferenceLimits:
+def reference_limits(base: BubbleGeometry, j: int) -> ReferenceLimits:
     """Spectral data of the rescaled limit cells: the flat disk of radius
-    kappa/2 (first Dirichlet eigenvalue, via the same 1-D solver), the full
-    sphere of radius b_j (first nonzero eigenvalue n/b^2) and the unit cube
-    (first nonzero Neumann eigenvalue pi^2)."""
+    base.kappa/2 (first Dirichlet eigenvalue, via the same 1-D solver), the
+    full sphere of radius b_j (first nonzero eigenvalue n/b^2) and the unit
+    cube (first nonzero Neumann eigenvalue pi^2)."""
     n = base.n
-    disk = radial_eigenvalues(disk_cell(n, 0.5 * kappa, nodes=4096), 1)[0]
+    disk = radial_eigenvalues(disk_cell(n, 0.5 * base.kappa, nodes=4096), 1)[0]
     b_j = base.channels[j][1]
     lam2_sphere = n / (b_j * b_j)
     lam2_cube = math.pi**2
@@ -628,6 +627,7 @@ class ConvergenceRow:
     sigma_target: float
     Lj_lambda2: float
     resolution: int
+    mesh_gauge: float  # |lambda1(2N) - lambda1(N)|; not written to the CSV
 
 
 CONVERGENCE_CSV_HEADER = [
@@ -644,7 +644,6 @@ CONVERGENCE_CSV_HEADER = [
 
 def convergence_table(
     base: BubbleGeometry,
-    kappa: float,
     j: int,
     eps_list: Sequence[float],
     resolution: int = 384,
@@ -659,11 +658,9 @@ def convergence_table(
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise GeometryError("eps_list must be strictly decreasing")
-    if kappa != base.kappa:
-        base = BubbleGeometry(base.n, base.channels, kappa)
     d_j, b_j = base.channels[j]
     sigma_target, _ = channel_sigma_rho(base.n, d_j, b_j)
-    ref = reference_limits(base, kappa, j)
+    ref = reference_limits(base, j)
     rows = []
     for eps in eps_list:
         geom = eps_scale(base, eps)
@@ -671,7 +668,7 @@ def convergence_table(
         # its own, so lambda1 of a k = 2 solve is the k = 1 value bit for bit
         coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), 1)
         fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2)
-        lam1, _ = richardson_lambda1(coarse[0], fine[0])
+        lam1, gauge = richardson_lambda1(coarse[0], fine[0])
         lam2 = float(fine[1])
         bound = trial_rayleigh(geom, j)
         rows.append(
@@ -684,6 +681,7 @@ def convergence_table(
                 sigma_target=sigma_target,
                 Lj_lambda2=ref.Lj_lambda2,
                 resolution=resolution,
+                mesh_gauge=gauge,
             )
         )
     return rows

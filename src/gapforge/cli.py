@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -63,13 +64,20 @@ class RunConfig:
     out: str = "."
 
 
-def _known_fields() -> dict[str, type]:
-    return {f.name: f.type for f in dc_fields(RunConfig)}
+# accepted values of each annotated field type; a bool is no number
+_KINDS = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list": (list, tuple)}
 
 
 def load_config(path: str | None = None, overrides: dict[str, Any] | None = None) -> RunConfig:
     """Merge a JSON config file with command-line overrides and validate;
     errors name the offending field."""
+    cfg = _merged_config(path, overrides)
+    _validate_config(cfg)
+    return cfg
+
+
+def _merged_config(path: str | None, overrides: dict[str, Any] | None) -> RunConfig:
+    """The config file with the overrides applied, unvalidated."""
     data: dict[str, Any] = {}
     if path is not None:
         if not os.path.isfile(path):
@@ -84,48 +92,79 @@ def load_config(path: str | None = None, overrides: dict[str, Any] | None = None
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value
-    known = _known_fields()
+    fields = {f.name for f in dc_fields(RunConfig)}
     for key in data:
-        if key not in known:
+        if key not in fields:
             raise ConfigError(key, f"unknown config field {key!r}")
     if "command" not in data:
         raise ConfigError("command", f"missing command; valid commands: {', '.join(COMMANDS)}")
-    cfg = RunConfig(**data)
-    _validate_config(cfg)
-    return cfg
+    return RunConfig(**data)
+
+
+def _check_reals(name: str, values: Any, length: int | None = None) -> None:
+    """``values`` is a list of reals (of the given length)."""
+    if (
+        not isinstance(values, (list, tuple))
+        or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+        or (length is not None and len(values) != length)
+    ):
+        what = f"a list of {length} reals" if length is not None else "a list of reals"
+        raise ConfigError(name, f"expected {what}, got {values!r}")
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.command not in COMMANDS:
-        raise ConfigError(
-            "command", f"unknown command {cfg.command!r}; valid commands: {', '.join(COMMANDS)}"
-        )
-    if cfg.intervals is not None:
-        for k, pair in enumerate(cfg.intervals):
-            if len(pair) != 2 or not all(isinstance(v, (int, float)) for v in pair):
-                raise ConfigError(f"intervals[{k}]", f"expected a [lo, hi] pair, got {pair!r}")
-            if not (pair[0] < pair[1]):
-                raise ConfigError(f"intervals[{k}]", f"empty interval {pair!r}")
-    if cfg.sigma is not None and cfg.rho is not None and len(cfg.sigma) != len(cfg.rho):
-        raise ConfigError("rho", "sigma and rho must have the same length")
-    for name, lo in (("count", 2), ("resolution", 64), ("theta_grid", 2), ("num_bands", 1),
-                     ("num_eigs", 1), ("base_resolution", 2)):
-        if getattr(cfg, name) < lo:
-            raise ConfigError(name, f"{name}={getattr(cfg, name)} must be >= {lo}")
-    if cfg.delta <= 0:
-        raise ConfigError("delta", f"delta={cfg.delta} must be > 0")
-    if cfg.kappa <= 0:
-        raise ConfigError("kappa", f"kappa={cfg.kappa} must be > 0")
-    if cfg.L is not None and cfg.L <= 0:
-        raise ConfigError("L", f"L={cfg.L} must be > 0")
-    if cfg.eps is not None and cfg.eps <= 0:
-        raise ConfigError("eps", f"eps={cfg.eps} must be > 0")
-    if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
-        raise ConfigError("eps_list", "eps_list must be strictly decreasing")
+    """Check every field; the output directory is created first, so that
+    an error in any other field can be written there."""
+    if not isinstance(cfg.out, str):
+        raise ConfigError("out", f"out={cfg.out!r} must be a path")
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out", f"cannot create output directory {cfg.out!r}: {exc}")
+    if cfg.command not in COMMANDS:
+        raise ConfigError(
+            "command", f"unknown command {cfg.command!r}; valid commands: {', '.join(COMMANDS)}"
+        )
+    for f in dc_fields(RunConfig):
+        value = getattr(cfg, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f.name, f"{f.name}={value!r} must be of type {kind}")
+    if cfg.intervals is not None:
+        for k, pair in enumerate(cfg.intervals):
+            _check_reals(f"intervals[{k}]", pair, 2)
+            if not (pair[0] < pair[1]):
+                raise ConfigError(f"intervals[{k}]", f"empty interval {pair!r}")
+    for name in ("sigma", "rho", "eps_list"):
+        if getattr(cfg, name) is not None:
+            _check_reals(name, getattr(cfg, name))
+    if cfg.range is not None:
+        _check_reals("range", cfg.range, 2)
+    for k, hole in enumerate(cfg.holes):
+        _check_reals(f"holes[{k}]", hole, 4)
+    if cfg.sigma is not None and cfg.rho is not None and len(cfg.sigma) != len(cfg.rho):
+        raise ConfigError("rho", "sigma and rho must have the same length")
+    for name, lo in (("count", 2), ("resolution", 64), ("theta_grid", 2), ("num_bands", 1),
+                     ("num_eigs", 1), ("base_resolution", 2), ("channel", 0)):
+        if getattr(cfg, name) < lo:
+            raise ConfigError(name, f"{name}={getattr(cfg, name)} must be >= {lo}")
+    for name in ("delta", "kappa", "L", "eps", "cell_size"):
+        value = getattr(cfg, name)
+        if value is not None and value <= 0:
+            raise ConfigError(name, f"{name}={value} must be > 0")
+    if not cfg.eps_list:
+        raise ConfigError("eps_list", "eps_list must not be empty")
+    if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
+        raise ConfigError("eps_list", "eps_list must be strictly decreasing")
+
+
+def _channel(cfg: RunConfig, m: int) -> int:
+    """The configured channel, one of the m designed channels."""
+    if cfg.channel >= m:
+        raise ConfigError("channel", f"channel={cfg.channel} must be < {m}, the number of channels")
+    return cfg.channel
 
 
 def _spec_from_config(cfg: RunConfig):
@@ -160,8 +199,6 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        if self.status == "error":
-            return 2
         return 0 if self.status == "pass" else 1
 
 
@@ -220,17 +257,18 @@ def _run_limit_spectrum(cfg: RunConfig) -> Report:
 def _run_cell_eigs(cfg: RunConfig) -> Report:
     spec = _spec_from_config(cfg)
     geom_base, model = design_geometry(spec, cfg.kappa)
+    j = _channel(cfg, spec.m)
     eps = cfg.eps if cfg.eps is not None else cfg.eps_list[-1]
     geom = eps_scale(geom_base, eps)
-    lam = radial_eigenvalues(build_radial_cell(geom, cfg.channel, cfg.resolution), cfg.num_eigs)
-    lam_fine = radial_eigenvalues(build_radial_cell(geom, cfg.channel, 2 * cfg.resolution), 1)
+    lam = radial_eigenvalues(build_radial_cell(geom, j, cfg.resolution), cfg.num_eigs)
+    lam_fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * cfg.resolution), 1)
     lam1_limit, gauge = richardson_lambda1(lam[0], lam_fine[0])
-    bound = trial_rayleigh(geom, cfg.channel)
-    flux = junction_flux(geom, cfg.channel)
+    bound = trial_rayleigh(geom, j)
+    flux = junction_flux(geom, j)
     payload = {
         "eps": eps,
-        "channel": cfg.channel,
-        "sigma_target": model.sigma[cfg.channel],
+        "channel": j,
+        "sigma_target": model.sigma[j],
         "eigenvalues": [float(v) for v in lam],
         "lambda1_mesh_limit": lam1_limit,
         "mesh_gauge": gauge,
@@ -245,7 +283,7 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
 def _run_convergence(cfg: RunConfig) -> Report:
     spec = _spec_from_config(cfg)
     geom_base, _ = design_geometry(spec, cfg.kappa)
-    rows = convergence_table(geom_base, cfg.kappa, cfg.channel, cfg.eps_list, cfg.resolution)
+    rows = convergence_table(geom_base, _channel(cfg, spec.m), cfg.eps_list, cfg.resolution)
     path = _write(cfg, "convergence.csv", "\n".join(convergence_rows_csv(rows)))
     return Report("pass", [{"name": "convergence", "pass": True}], [path])
 
@@ -309,7 +347,7 @@ def _run_verify(cfg: RunConfig) -> Report:
     ]
 
     if cfg.with_convergence:
-        rows = convergence_table(geom_base, cfg.kappa, cfg.channel, cfg.eps_list, cfg.resolution)
+        rows = convergence_table(geom_base, _channel(cfg, spec.m), cfg.eps_list, cfg.resolution)
         sigma_t = rows[0].sigma_target
         errs = [abs(r.lambda1 - sigma_t) / sigma_t for r in rows]
         monotone = all(b < a for a, b in zip(errs[:-1], errs[1:]))
@@ -406,31 +444,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         print(f"error: missing command; valid commands: {', '.join(COMMANDS)}", file=sys.stderr)
         return 2
-    overrides: dict[str, Any] = {"command": args.command}
-    for key in ("out", "n", "delta", "L", "kappa", "count", "eps", "resolution",
-                "num_eigs", "theta_grid", "num_bands", "channel", "base_resolution",
-                "with_convergence", "with_bands"):
-        overrides[key] = getattr(args, key)
+    overrides: dict[str, Any] = {k: v for k, v in vars(args).items() if k != "config"}
     try:
         if args.intervals is not None:
             overrides["intervals"] = _parse_intervals(args.intervals)
-        if args.sigma is not None:
-            overrides["sigma"] = _parse_float_list(args.sigma, "sigma")
-        if args.rho is not None:
-            overrides["rho"] = _parse_float_list(args.rho, "rho")
-        if args.range is not None:
-            overrides["range"] = _parse_float_list(args.range, "range")
-        if args.eps_list is not None:
-            overrides["eps_list"] = _parse_float_list(args.eps_list, "eps_list")
-        cfg = load_config(args.config, overrides)
+        for key in ("sigma", "rho", "range", "eps_list"):
+            if overrides[key] is not None:
+                overrides[key] = _parse_float_list(overrides[key], key)
+        cfg = _merged_config(args.config, overrides)
     except ConfigError as exc:
         print(f"error: {exc.field}: {exc}", file=sys.stderr)
         return 2
     try:
+        _validate_config(cfg)
         report = run_pipeline(cfg)
     except GapForgeError as exc:
-        _write(cfg, f"{cfg.command.replace('-', '_')}_error.json",
-               dumps_json({"status": "error", "error": str(exc)}))
+        if isinstance(cfg.out, str) and os.path.isdir(cfg.out):
+            _write(cfg, f"{cfg.command.replace('-', '_')}_error.json",
+                   dumps_json({"status": "error", "error": str(exc)}))
         field = f"{exc.field}: " if isinstance(exc, ConfigError) else ""
         print(f"error: {field}{exc}", file=sys.stderr)
         return 2

@@ -8,13 +8,11 @@ is a (d_j, b_j) pair driving one hole/bubble family.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import fmt_real
 from .errors import GeometryError
 from .intervals import GapSpec
 
@@ -88,10 +86,6 @@ class HomogenizedModel:
     @property
     def m(self) -> int:
         return len(self.sigma)
-
-    def digest(self) -> str:
-        payload = ";".join(fmt_real(v) for v in (*self.sigma, *self.rho))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_json(self) -> dict:
         out = {"n": self.n, "sigma": list(self.sigma), "rho": list(self.rho)}

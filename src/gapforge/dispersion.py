@@ -169,7 +169,6 @@ class DispersionCurve:
     POLE_FLAG_ATOL of a pole are flagged and carry value NaN."""
 
     samples: tuple[tuple[float, float, bool], ...]
-    model_digest: str
 
     def to_csv_lines(self) -> list[str]:
         return csv_lines(
@@ -192,4 +191,4 @@ def sample_curve(model: HomogenizedModel, rng: tuple[float, float], count: int) 
         near_pole = any(abs(lam - s) < POLE_FLAG_ATOL for s in model.sigma)
         value = math.nan if near_pole else dispersion_eval(model, lam)
         samples.append((lam, value, near_pole))
-    return DispersionCurve(tuple(samples), model.digest())
+    return DispersionCurve(tuple(samples))

@@ -38,16 +38,6 @@ class IntervalSet:
                 raise IntervalError(f"interval {k}: overlaps previous (lo={lo} < prev hi={prev_hi})")
             prev_hi = hi
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "IntervalSet":
-        """Sort raw (lo, hi) pairs by lower endpoint and validate."""
-        items = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        return cls(tuple(items))
-
-    @property
-    def unbounded_tail(self) -> bool:
-        return bool(self.intervals) and math.isinf(self.intervals[-1][1])
-
     def __len__(self) -> int:
         return len(self.intervals)
 

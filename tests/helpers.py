@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from gapforge.bands import PeriodCellGraph
+from gapforge.errors import GeometryError
 from gapforge.intervals import ENDPOINT_TOL, GapSpec, IntervalSet, validate_gap_spec
 
 
@@ -120,6 +121,38 @@ def dense_folded_oracle(graph, theta, k):
     Mf = S.conj().T @ np.diag(graph.masses) @ S
     vals = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)
     return np.sort(vals.real)[:k]
+
+
+def reference_fold_structure(graph):
+    """(component, shift, count) by the depth-first search over the
+    boundary pairs that ``PeriodCellGraph.fold_structure`` used before it
+    called csgraph: the frozen reference for that method."""
+    nv, nd = graph.nv, graph.ndim
+    comp = -np.ones(nv, dtype=int)
+    shift = np.zeros((nv, nd), dtype=int)
+    rel = [[] for _ in range(nv)]
+    for a, b, d in graph.boundary_pairs:
+        rel[a].append((b, d))
+        rel[b].append((a, -d))
+    n_comp = 0
+    for root in range(nv):
+        if comp[root] >= 0:
+            continue
+        comp[root] = n_comp
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, d in rel[v]:
+                t = shift[v].copy()
+                t[abs(d) - 1] += 1 if d > 0 else -1
+                if comp[u] < 0:
+                    comp[u] = n_comp
+                    shift[u] = t
+                    stack.append(u)
+                elif not np.array_equal(shift[u], t):
+                    raise GeometryError("inconsistent boundary identifications")
+        n_comp += 1
+    return comp, shift, n_comp
 
 
 def inertia_count(K, M, shift):

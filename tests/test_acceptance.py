@@ -25,7 +25,6 @@ from gapforge.cell import (
     convergence_table,
     eps_scale,
     junction_flux,
-    mesh_converged_lambda1,
     trial_rayleigh,
 )
 from gapforge.design import HomogenizedModel, design_geometry, solve_weight_system, weights_closed_form
@@ -78,8 +77,8 @@ def design_ladder():
     if "ladder" not in _cache:
         spec = validate_gap_spec([(1, 2)], 3)
         base, model = design_geometry(spec, KAPPA)
-        rows = convergence_table(base, KAPPA, 0, EPS_LADDER, resolution=384)
-        gauges = [mesh_converged_lambda1(eps_scale(base, e), 0, 384)[1] for e in EPS_LADDER]
+        rows = convergence_table(base, 0, EPS_LADDER, resolution=384)
+        gauges = [r.mesh_gauge for r in rows]
         _cache["ladder"] = (base, model, rows, gauges)
     return _cache["ladder"]
 

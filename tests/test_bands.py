@@ -28,6 +28,7 @@ from helpers import (
     dense_folded_oracle,
     dirichlet_loop_matrix,
     inertia_count,
+    reference_fold_structure,
     small_torus_graph,
 )
 
@@ -240,13 +241,57 @@ class TestBuilder:
         with pytest.raises(ResolutionError):
             build_cell_graph(geom, grid=GridSpec(64))
 
-    def test_json_schema(self):
-        graph = build_cell_graph(holes=[], cell_size=1.0, grid=GridSpec(4))
-        doc = graph.to_json()
-        assert set(doc) == {"vertices", "edges", "boundary_pairs"}
-        assert set(doc["vertices"][0]) == {"id", "mass"}
-        assert set(doc["edges"][0]) == {"a", "b", "w"}
-        assert set(doc["boundary_pairs"][0]) == {"a", "b", "dir"}
+
+def path_graph(nv, pairs, ndim):
+    """Unit path 0 - 1 - ... - (nv - 1) with the given boundary pairs."""
+    return PeriodCellGraph(
+        masses=np.ones(nv),
+        edges=np.array([[v, v + 1] for v in range(nv - 1)]),
+        weights=np.ones(nv - 1),
+        boundary_pairs=pairs,
+        ndim=ndim,
+    )
+
+
+class TestGraphStructure:
+    FOLD_CASES = {
+        "demo_cell": lambda: build_cell_graph(holes=[(0.5, 0.5, 0.05, 0.3)], grid=GridSpec(64)),
+        "res32_cell": lambda: build_cell_graph(holes=[(0.5, 0.5, 0.1, 0.3)], grid=GridSpec(32)),
+        "holeless_res4": lambda: build_cell_graph(holes=[], grid=GridSpec(4)),
+        "two_holes": lambda: build_cell_graph(
+            holes=[(0.27, 0.5, 0.19, 0.22), (0.73, 0.5, 0.19, 0.30)], grid=GridSpec(16)
+        ),
+        "small_torus": lambda: small_torus_graph(np.random.default_rng(3), n=4),
+        "cycle_cell": cycle_cell,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FOLD_CASES))
+    def test_fold_matches_reference_search(self, name):
+        graph = self.FOLD_CASES[name]()
+        comp, shift, n_comp = graph.fold_structure()
+        ref_comp, ref_shift, ref_n = reference_fold_structure(graph)
+        assert n_comp == ref_n and type(n_comp) is int
+        assert np.array_equal(comp, ref_comp) and comp.dtype == ref_comp.dtype
+        assert np.array_equal(shift, ref_shift) and shift.dtype == ref_shift.dtype
+
+    def test_disconnected_graph_rejected(self):
+        g = path_graph(4, ((0, 3, 1),), 1)
+        g.edges = np.array([[0, 1], [2, 3]])
+        g.weights = np.ones(2)
+        with pytest.raises(GeometryError, match="not connected"):
+            g.validate()
+
+    def test_non_bijective_pairs_rejected(self):
+        # direction 1 is a bijection, direction 2 maps 2 and 0 both to 3
+        g = path_graph(4, ((0, 1, 1), (2, 3, 2), (0, 3, 2)), 2)
+        with pytest.raises(GeometryError, match="direction 2 are not a bijection"):
+            g.validate()
+
+    def test_inconsistent_identifications_rejected(self):
+        # 0 ~ 1 and 1 ~ 2 put 2 two steps from 0; (0, 2, 1) says one
+        g = path_graph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)), 1)
+        with pytest.raises(GeometryError, match="inconsistent"):
+            g.fold_structure()
 
 
 class TestEnclosure:
@@ -392,7 +437,7 @@ class TestMonitoredLimits:
         from gapforge.design import BubbleGeometry
 
         b = 0.3
-        ref = reference_limits(BubbleGeometry(2, ((0.1, b),), kappa=0.5), 0.5, 0)
+        ref = reference_limits(BubbleGeometry(2, ((0.1, b),), kappa=0.5), 0)
         devs = []
         for r, N in ((0.1, 32), (0.05, 64), (0.025, 128)):
             g = build_cell_graph(holes=[(0.5, 0.5, r, b)], cell_size=1.0, grid=GridSpec(N))

@@ -15,9 +15,9 @@ from gapforge.cell import (
     disk_cell,
     eps_scale,
     junction_flux,
-    mesh_converged_lambda1,
     radial_eigenvalues,
     reference_limits,
+    richardson_lambda1,
     trial_constants,
     trial_rayleigh,
 )
@@ -30,6 +30,12 @@ def designed_geometry(n=3, kappa=0.5):
     spec = validate_gap_spec([(1, 2)], n)
     geom, model = design_geometry(spec, kappa)
     return geom, model
+
+
+def mesh_limit_lambda1(geom, resolution):
+    """Richardson limit and gauge of channel 0 over (resolution, 2 * resolution)."""
+    lams = [radial_eigenvalues(build_radial_cell(geom, 0, r), 1)[0] for r in (resolution, 2 * resolution)]
+    return richardson_lambda1(*lams)
 
 
 class TestEpsScale:
@@ -145,7 +151,7 @@ class TestRayleighAndFlux:
         for eps in (0.2, 0.1, 0.05):
             geom = eps_scale(base, eps)
             bound = trial_rayleigh(geom, 0)
-            lam1, _ = mesh_converged_lambda1(geom, 0, 256)
+            lam1, _ = mesh_limit_lambda1(geom, 256)
             assert bound.quotient >= lam1 - 1e-10
 
     def test_asymptotic_ratios(self):
@@ -217,7 +223,7 @@ class TestRadialEigenvalues:
         base, model = designed_geometry()
         errs = []
         for eps in (0.2, 0.1, 0.05):
-            lam1, _ = mesh_converged_lambda1(eps_scale(base, eps), 0, 256)
+            lam1, _ = mesh_limit_lambda1(eps_scale(base, eps), 256)
             errs.append(abs(lam1 - model.sigma[0]))
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
@@ -270,28 +276,28 @@ class TestRadialEigenvalues:
 class TestReferenceLimits:
     def test_disk_reference_n2(self):
         base = BubbleGeometry(2, ((1.0, 1.0),), kappa=1.0)
-        ref = reference_limits(base, 1.0, 0)
+        ref = reference_limits(base, 0)
         expect = (jn_zeros(0, 1)[0] / 0.5) ** 2
         assert ref.lambda1_D_disk == pytest.approx(expect, rel=1e-6)
 
     def test_ball_reference_n3(self):
         base = BubbleGeometry(3, ((1.0, 1.0),), kappa=2.0)
-        ref = reference_limits(base, 2.0, 0)
+        ref = reference_limits(base, 0)
         assert ref.lambda1_D_disk == pytest.approx(math.pi**2, rel=1e-6)
 
     def test_sphere_second_eigenvalue(self):
         base = BubbleGeometry(2, ((0.5, 1.0),), kappa=1.0)
-        ref = reference_limits(base, 1.0, 0)
+        ref = reference_limits(base, 0)
         assert ref.lambda2_sphere == pytest.approx(2.0, rel=1e-14)
 
     def test_cube_neumann(self):
         base = BubbleGeometry(3, ((1.0, 1.0),), kappa=0.5)
-        ref = reference_limits(base, 0.5, 0)
+        ref = reference_limits(base, 0)
         assert ref.lambda2_N_cube == pytest.approx(math.pi**2, rel=1e-15)
 
     def test_minima(self):
         base, _ = designed_geometry()
-        ref = reference_limits(base, 0.5, 0)
+        ref = reference_limits(base, 0)
         assert ref.Lj_lambda2 == min(ref.lambda1_D_disk, ref.lambda2_sphere)
         assert ref.L_lambda_m_plus_2 == min(ref.lambda2_N_cube, ref.lambda2_sphere)
 
@@ -299,7 +305,7 @@ class TestReferenceLimits:
 class TestConvergenceTable:
     def test_columns_and_trends(self):
         base, model = designed_geometry()
-        rows = convergence_table(base, 0.5, 0, [0.2, 0.1, 0.05], resolution=128)
+        rows = convergence_table(base, 0, [0.2, 0.1, 0.05], resolution=128)
         assert [r.eps for r in rows] == [0.2, 0.1, 0.05]
         for r in rows:
             assert r.lambda1 <= r.rayleigh_upper + 1e-10
@@ -312,11 +318,11 @@ class TestConvergenceTable:
     def test_requires_decreasing_eps(self):
         base, _ = designed_geometry()
         with pytest.raises(GeometryError):
-            convergence_table(base, 0.5, 0, [0.1, 0.2], resolution=128)
+            convergence_table(base, 0, [0.1, 0.2], resolution=128)
 
     def test_csv_header(self):
         base, _ = designed_geometry()
-        rows = convergence_table(base, 0.5, 0, [0.2], resolution=128)
+        rows = convergence_table(base, 0, [0.2], resolution=128)
         lines = convergence_rows_csv(rows)
         assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
         assert len(lines) == 2

@@ -103,13 +103,17 @@ class TestCommands:
         assert doc["rayleigh_upper"] >= doc["lambda1_mesh_limit"] - 1e-10
 
     def test_cell_eigs_unrepresentable_scale_exits_2(self, tmp_path):
-        code = main([
-            "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", "0.01",
-            "--resolution", "128", "--out", str(tmp_path),
-        ])
-        assert code == 2
-        doc = json.loads(read(tmp_path / "cell_eigs_error.json"))
-        assert doc["status"] == "error"
+        # 0.01: the hole radius underflows; 0.09 and 0.093: the radius is
+        # representable but the radial pencil has a zero or non-finite entry
+        for eps in ("0.01", "0.09", "0.093"):
+            out = tmp_path / eps
+            code = main([
+                "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", eps,
+                "--resolution", "128", "--out", str(out),
+            ])
+            assert code == 2, eps
+            doc = json.loads(read(out / "cell_eigs_error.json"))
+            assert doc["status"] == "error" and "increase eps" in doc["error"]
 
     def test_convergence_csv(self, tmp_path):
         code = main([
@@ -173,6 +177,37 @@ class TestCommands:
     def test_format_option_removed(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["design", "--intervals", "1,2", "--format", "csv", "--out", str(tmp_path)])
+
+
+BAD_CONFIGS = [
+    pytest.param("channel", {"command": "cell-eigs", "intervals": [[1, 2]], "channel": 3},
+                 id="channel-too-large"),
+    pytest.param("channel", {"command": "cell-eigs", "intervals": [[1, 2]], "channel": -2},
+                 id="channel-negative"),
+    pytest.param("channel", {"command": "convergence", "intervals": [[1, 2], [3, 4]], "channel": -1},
+                 id="channel-negative-m2"),
+    pytest.param("resolution", {"command": "cell-eigs", "intervals": [[1, 2]], "resolution": "abc"},
+                 id="resolution-string"),
+    pytest.param("delta", {"command": "design", "intervals": [[1, 2]], "delta": "x"}, id="delta-string"),
+    pytest.param("holes[0]", {"command": "bands", "holes": [[0.5, 0.5]]}, id="hole-short"),
+    pytest.param("range", {"command": "dispersion", "sigma": [1.0], "range": [1.0]}, id="range-short"),
+    pytest.param("intervals[0]", {"command": "design", "intervals": [1, 2]}, id="intervals-flat"),
+    pytest.param("eps_list", {"command": "verify", "intervals": [[1, 2]], "eps_list": [],
+                              "with_convergence": True}, id="eps-list-empty"),
+    pytest.param("cell_size", {"command": "bands", "cell_size": -1}, id="cell-size-negative"),
+]
+
+
+@pytest.mark.parametrize("field, config", BAD_CONFIGS)
+def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([config["command"], "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    doc = json.loads(read(out / f"{config['command'].replace('-', '_')}_error.json"))
+    assert doc["status"] == "error"
 
 
 class TestDeterminism:

@@ -153,9 +153,3 @@ class TestHomogenizedModel:
     def test_requires_positive_rho(self):
         with pytest.raises(GeometryError):
             HomogenizedModel(3, (1.0,), (0.0,))
-
-    def test_digest_tracks_values(self):
-        m1 = HomogenizedModel(3, (1.0,), (1.0,))
-        m2 = HomogenizedModel(3, (1.0,), (2.0,))
-        assert m1.digest() != m2.digest()
-        assert m1.digest() == HomogenizedModel(3, (1.0,), (1.0,)).digest()

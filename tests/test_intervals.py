@@ -23,11 +23,7 @@ from helpers import (
 class TestIntervalSet:
     def test_sorted_disjoint_ok(self):
         s = IntervalSet(((0.0, 1.0), (2.0, 3.0)))
-        assert len(s) == 2 and not s.unbounded_tail
-
-    def test_unbounded_tail(self):
-        s = IntervalSet(((1.0, 2.0), (3.0, math.inf)))
-        assert s.unbounded_tail
+        assert len(s) == 2
 
     def test_rejects_overlap(self):
         with pytest.raises(IntervalError):
