@@ -124,33 +124,6 @@ def level_set_roots(model: HomogenizedModel, a: float) -> tuple[float, ...]:
     return tuple(roots)
 
 
-def level_set_roots_via_polynomial(model: HomogenizedModel, a: float) -> tuple[float, ...]:
-    """Cross-check route: clear denominators to the degree-(m+1) polynomial
-
-        lambda * [prod_k (sigma_k - lambda) + sum_j sigma_j rho_j prod_{k!=j} (...)]
-            - a * prod_k (sigma_k - lambda) = 0
-
-    and return its real roots (poles cannot be roots for a >= 0 unless the
-    numerator vanishes there too, which the valid-model assumptions exclude).
-    """
-    sig = np.asarray(model.sigma)
-    rho = np.asarray(model.rho)
-    prod_all = np.array([1.0])
-    for s in sig:
-        prod_all = np.polymul(prod_all, np.array([-1.0, s]))  # (s - lambda)
-    acc = prod_all.copy()
-    for j in range(model.m):
-        pj = np.array([1.0])
-        for k in range(model.m):
-            if k != j:
-                pj = np.polymul(pj, np.array([-1.0, sig[k]]))
-        acc = np.polyadd(acc, sig[j] * rho[j] * pj)
-    poly = np.polysub(np.polymul(np.array([1.0, 0.0]), acc), a * prod_all)
-    rts = np.roots(poly)
-    real = sorted(float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1.0 + abs(r)))
-    return tuple(real)
-
-
 def limit_spectrum(model: HomogenizedModel, L: float) -> tuple[IntervalSet, IntervalSet]:
     """Bands and gaps of the limit operator on [0, L]:
     gaps = (sigma_j, mu_j), bands = [0, sigma_1] u [mu_1, sigma_2] u ... u [mu_m, L]."""

@@ -11,6 +11,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from gapforge.bands import PeriodCellGraph
+from gapforge.cell import RadialCell, _assemble_path, _graded_arc
+from gapforge.design import HomogenizedModel
 from gapforge.errors import GeometryError
 from gapforge.intervals import ENDPOINT_TOL, GapSpec, IntervalSet, validate_gap_spec
 
@@ -233,3 +235,108 @@ def random_band_table(rng):
         hi = max(hi, lo + width)
         bands.append((lo, hi))
     return bands
+
+
+def level_set_roots_via_polynomial(model: HomogenizedModel, a: float) -> tuple[float, ...]:
+    """Cross-check route for ``dispersion.level_set_roots``: clear
+    denominators to the degree-(m+1) polynomial
+
+        lambda * [prod_k (sigma_k - lambda) + sum_j sigma_j rho_j prod_{k!=j} (...)]
+            - a * prod_k (sigma_k - lambda) = 0
+
+    and return its real roots (poles cannot be roots for a >= 0 unless the
+    numerator vanishes there too, which the valid-model assumptions exclude).
+    """
+    sig = np.asarray(model.sigma)
+    rho = np.asarray(model.rho)
+    prod_all = np.array([1.0])
+    for s in sig:
+        prod_all = np.polymul(prod_all, np.array([-1.0, s]))  # (s - lambda)
+    acc = prod_all.copy()
+    for j in range(model.m):
+        pj = np.array([1.0])
+        for k in range(model.m):
+            if k != j:
+                pj = np.polymul(pj, np.array([-1.0, sig[k]]))
+        acc = np.polyadd(acc, sig[j] * rho[j] * pj)
+    poly = np.polysub(np.polymul(np.array([1.0, 0.0]), acc), a * prod_all)
+    rts = np.roots(poly)
+    real = sorted(float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1.0 + abs(r)))
+    return tuple(real)
+
+
+def bubble_cap_cell(n: int, b_eps: float, theta: float, nodes: int = 256) -> RadialCell:
+    """Cap-only degenerate cell: Dirichlet at theta, natural at pi."""
+    return RadialCell(n, None, _graded_arc(theta, nodes), b_eps)
+
+
+def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
+    """First k eigenvalues of the radial pencil as ``cell.radial_eigenvalues``
+    computed them before it predicted with dstebz: bisection on Sturm counts
+    from the Gershgorin bound to relative width 1e-12, then inverse iteration
+    and a Rayleigh quotient, keeping the bisection midpoint when the quotient
+    moves by more than 1e-6.  The frozen reference for that function."""
+    diag, off, mass = _assemble_path(cell)
+    diag, mass, off = diag[1:], mass[1:], off[1:]
+    Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
+
+    def count(lam):
+        c, p = 0, Kd[0] - lam * Md[0]
+        if abs(p) < 1e-300:
+            p = -1e-300
+        c += p < 0.0
+        for i in range(1, len(Kd)):
+            p = (Kd[i] - lam * Md[i]) - Ke[i - 1] * Ke[i - 1] / p
+            if abs(p) < 1e-300:
+                p = -1e-300
+            c += p < 0.0
+        return c
+
+    def refine(lam, seed):
+        n = len(diag)
+        ab = np.zeros((3, n))
+        rng = np.random.default_rng(0x5EED + seed)
+        u = rng.standard_normal(n)
+        u /= math.sqrt(float(np.sum(mass * u * u)))
+        shift = lam
+        for attempt in range(3):
+            ab[0, 1:] = off
+            ab[1, :] = diag - shift * mass
+            ab[2, :-1] = off
+            try:
+                for _ in range(2):
+                    u = scipy.linalg.solve_banded((1, 1), ab, mass * u)
+                    u /= math.sqrt(float(np.sum(mass * u * u)))
+                break
+            except np.linalg.LinAlgError:
+                shift = lam * (1.0 - 1e-10 * (attempt + 1))
+        bulk = float(np.sum(-off * (u[:-1] - u[1:]) ** 2))
+        residual_diag = diag.copy()
+        residual_diag[:-1] += off
+        residual_diag[1:] += off
+        edge = float(np.sum(np.maximum(residual_diag, 0.0) * u * u))
+        refined = (bulk + edge) / float(np.sum(mass * u * u))
+        if not math.isfinite(refined) or abs(refined - lam) > 1e-6 * (abs(lam) + 1e-300):
+            return lam
+        return refined
+
+    hi0 = max(
+        (Kd[i] + (abs(Ke[i - 1]) if i > 0 else 0.0) + (abs(Ke[i]) if i < len(Ke) else 0.0))
+        / Md[i]
+        for i in range(len(Kd))
+    )
+    vals = []
+    lo_floor = 0.0
+    for kk in range(1, k + 1):
+        lo, hi = lo_floor, hi0
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if count(mid) >= kk:
+                hi = mid
+            else:
+                lo = mid
+        vals.append(refine(0.5 * (lo + hi), kk))
+        lo_floor = lo
+    return np.asarray(vals, dtype=float)

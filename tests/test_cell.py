@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import gapforge.cell as cell_module
 from gapforge.cell import (
     RadialCell,
     angular_integral_F,
-    bubble_cap_cell,
     build_radial_cell,
     convergence_rows_csv,
     convergence_table,
@@ -24,6 +24,8 @@ from gapforge.cell import (
 from gapforge.design import BubbleGeometry, design_geometry
 from gapforge.errors import GeometryError, ResolutionError, ScaleError
 from gapforge.intervals import validate_gap_spec
+
+from helpers import bubble_cap_cell, random_gap_spec, reference_radial_eigenvalues
 
 
 def designed_geometry(n=3, kappa=0.5):
@@ -271,6 +273,98 @@ class TestRadialEigenvalues:
         a = radial_eigenvalues(build_radial_cell(geom, 0, 128), 2)
         b = radial_eigenvalues(build_radial_cell(geom, 0, 128), 2)
         assert np.array_equal(a, b)
+
+
+def seeded_radial_cells():
+    """(label, cell, k) over n = 2, 3, 4 down to the smallest eps each
+    pencil represents, two-gap designs from seeded targets, the 40-eigenvalue
+    cell-eigs job and the 4096-node disks of ``reference_limits``."""
+    rng = np.random.default_rng(606)
+    ladders = {2: (0.4, 0.3, 0.2, 0.15, 0.13, 0.1), 3: (0.2, 0.1, 0.05, 0.025, 0.01, 0.001),
+               4: (0.2, 0.1, 0.05, 0.025)}
+    cases = []
+    for n, eps_list in ladders.items():
+        spec = validate_gap_spec([(1, 2)], 2) if n == 2 else random_gap_spec(rng, 2, n, 0.5, 8.0, 0.3)
+        base, _ = design_geometry(spec, 0.5)
+        for eps in eps_list:
+            j = int(rng.integers(0, base.m))
+            res = int(rng.choice([128, 192, 256]))
+            cases.append((f"n{n}-eps{eps}-j{j}-res{res}", build_radial_cell(eps_scale(base, eps), j, res), 2))
+    base, _ = design_geometry(validate_gap_spec([(1, 2)], 3), 0.5)
+    cases.append(("n3-k40", build_radial_cell(eps_scale(base, 0.025), 0, 128), 40))
+    cases.append(("n3-eps0.001-res768", build_radial_cell(eps_scale(base, 0.001), 0, 768), 2))
+    for n in (2, 3, 4):
+        cases.append((f"disk-n{n}", disk_cell(n, 0.25, 4096), 1))
+    return cases
+
+
+SEEDED_CELLS = seeded_radial_cells()
+
+
+def designed_cell(eps=0.05, resolution=384):
+    base, _ = designed_geometry()
+    return build_radial_cell(eps_scale(base, eps), 0, resolution)
+
+
+class TestRadialEngine:
+    @pytest.mark.parametrize("label,cell,k", SEEDED_CELLS, ids=[c[0] for c in SEEDED_CELLS])
+    def test_matches_frozen_reference(self, label, cell, k):
+        got = radial_eigenvalues(cell, k)
+        ref = reference_radial_eigenvalues(cell, k)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("fault", ["nan", "next_eigenvalue", "off_by_1e-3"])
+    def test_predictor_faults_fall_back(self, monkeypatch, fault):
+        # each fault hits the last prediction only, so the call falls back
+        # after certifying the others; the fallback is the reference loop
+        real_predict = cell_module._predict_eigenvalues
+        real_bisect = cell_module._bisect_eigenvalues
+
+        def faulty(diag, off, mass, k):
+            w = real_predict(diag, off, mass, k + 1).copy()
+            if fault == "nan":
+                w[k - 1] = math.nan
+            elif fault == "next_eigenvalue":
+                w[k - 1] = w[k]
+            else:
+                w[k - 1] *= 1.0 + 1e-3
+            return w[:k]
+
+        fallbacks = []
+
+        def counted_bisect(*args):
+            fallbacks.append(args[-1])
+            return real_bisect(*args)
+
+        monkeypatch.setattr(cell_module, "_predict_eigenvalues", faulty)
+        monkeypatch.setattr(cell_module, "_bisect_eigenvalues", counted_bisect)
+        for cell, k in ((designed_cell(0.05, 128), 3), (disk_cell(2, 0.25, 1024), 2)):
+            got = radial_eigenvalues(cell, k)
+            assert np.array_equal(got, reference_radial_eigenvalues(cell, k))
+        assert fallbacks == [3, 2]
+
+    def test_fast_path_takes_two_counts_per_eigenvalue(self, monkeypatch):
+        counts = []
+        real_count = cell_module._sturm_count
+
+        def counted(*args):
+            counts.append(args[-1])
+            return real_count(*args)
+
+        monkeypatch.setattr(cell_module, "_sturm_count", counted)
+        for resolution in (384, 768):
+            counts.clear()
+            lam = radial_eigenvalues(designed_cell(0.05, resolution), 2)
+            assert len(counts) <= 2 * len(lam)
+
+    def test_certified_window_encloses_each_eigenvalue(self):
+        cell = designed_cell(0.05, 384)
+        diag, off, mass = cell_module._assemble_path(cell)
+        Kd, Ke, Md = diag[1:].tolist(), off[1:].tolist(), mass[1:].tolist()
+        eta = cell_module.REFINE_WINDOW
+        for kk, lam in enumerate(radial_eigenvalues(cell, 5), start=1):
+            assert cell_module._sturm_count(Kd, Ke, Md, lam * (1 - eta)) == kk - 1
+            assert cell_module._sturm_count(Kd, Ke, Md, lam * (1 + eta)) >= kk
 
 
 class TestReferenceLimits:

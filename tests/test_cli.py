@@ -102,6 +102,18 @@ class TestCommands:
         assert doc["eigenvalues"][0] == pytest.approx(1.0, rel=0.02)
         assert doc["rayleigh_upper"] >= doc["lambda1_mesh_limit"] - 1e-10
 
+    def test_cell_eigs_n2_small_eps(self, tmp_path):
+        # the Rayleigh quadrature spans about 270 decades between the hole
+        # and the outer radius here; at resolution 768 the Richardson pair is
+        # in its asymptotic range
+        code = main([
+            "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", "0.1",
+            "--resolution", "768", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        doc = json.loads(read(tmp_path / "cell_eigs.json"))
+        assert doc["lambda1_mesh_limit"] <= doc["rayleigh_upper"]
+
     def test_cell_eigs_unrepresentable_scale_exits_2(self, tmp_path):
         # 0.01: the hole radius underflows; 0.09 and 0.093: the radius is
         # representable but the radial pencil has a zero or non-finite entry

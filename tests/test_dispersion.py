@@ -8,14 +8,13 @@ from gapforge.dispersion import (
     dispersion_eval,
     f_eval,
     level_set_roots,
-    level_set_roots_via_polynomial,
     limit_spectrum,
     mu_roots,
     sample_curve,
 )
 from gapforge.errors import GapForgeError, PoleError
 
-from helpers import random_gap_spec
+from helpers import level_set_roots_via_polynomial, random_gap_spec
 
 
 def unit_model():
