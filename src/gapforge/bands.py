@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from ._fmt import csv_lines
-from .cell import EpsGeometry
 from .errors import GapForgeError, GeometryError, ResolutionError
 from .intervals import IntervalSet, complement_on
 
@@ -104,31 +103,18 @@ class PeriodCellGraph:
 
 
 def build_cell_graph(
-    geom: EpsGeometry | None = None,
     *,
-    holes: Sequence[tuple[float, float, float, float]] | None = None,
+    holes: Sequence[tuple[float, float, float, float]] = (),
     cell_size: float = 1.0,
     grid: GridSpec | None = None,
 ) -> PeriodCellGraph:
     """Finite-volume graph of the perforated square with glued bubbles.
 
-    ``holes`` is a sequence of (cx, cy, hole_radius, bubble_radius) in
-    model-geometry mode; alternatively an n = 2 ``EpsGeometry`` places its
-    channels on the cell midline.  Every hole must span at least 6 grid
-    cells and stay clear of the cell boundary and the other holes.
+    ``holes`` is a sequence of explicit (cx, cy, hole_radius, bubble_radius).
+    Every hole must span at least 6 grid cells and stay clear of the cell
+    boundary and the other holes.
     """
     grid = grid or GridSpec()
-    if geom is not None:
-        if geom.n != 2:
-            raise GeometryError("graph builder is 2-D only; use the radial module for n > 2")
-        cell_size = geom.eps
-        m = len(geom.channels)
-        holes = tuple(
-            ((j + 0.5) * cell_size / m, 0.5 * cell_size, ch.d_eps, ch.b_eps)
-            for j, ch in enumerate(geom.channels)
-        )
-    if holes is None:
-        holes = ()
     N = grid.base_resolution
     if N < 2:
         raise ResolutionError("base resolution must be at least 2")

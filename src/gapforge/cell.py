@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dstebz
 
@@ -94,43 +93,32 @@ def eps_scale(base: BubbleGeometry, eps: float) -> EpsGeometry:
 # the angular profile integral F(theta) = int_{pi/2}^{theta} sin^(1-n)
 
 
-def _geometric_breakpoints(a: float, b: float, factor: float = 4.0) -> list[float]:
-    # refine toward a; the integrand varies on a multiplicative scale there
-    pts = [a]
-    x = a * factor
-    while x < b / factor:
-        pts.append(x)
-        x *= factor
-    pts.append(b)
-    return pts
+def angular_integral_F(theta: float | np.ndarray, n: int) -> float | np.ndarray:
+    """Closed form of F(theta) = int_{pi/2}^{theta} sin^(1-n)(psi) dpsi,
+    elementwise for array input.
 
+    With k = n - 1 and I_k = int_{pi/2}^{theta} csc^k, the reduction
 
-def angular_integral_F(theta: float, n: int) -> float:
-    """Adaptive quadrature of int_{pi/2}^{theta} sin^(1-n)(psi) dpsi.
+        I_k = -csc^(k-2)(theta) cot(theta) / (k-1) + (k-2)/(k-1) I_(k-2)
 
-    Closed forms for n = 2 (ln tan(theta/2)) and n = 3 (-cot theta) are
-    used as oracles in the test suite, never here.
+    descends to I_0 = theta - pi/2 or I_1 = ln tan(theta/2), evaluated as
+    -asinh(cot theta), which keeps full relative accuracy next to pi/2.
+    Every term has the sign of the result on either side of pi/2, so the
+    sum does not cancel.  F(pi/2) is exactly 0.
     """
     if int(n) != n or n < 2:
         raise GeometryError(f"dimension n={n} must be an integer >= 2")
-    if not (0.0 < theta < math.pi):
+    t = np.atleast_1d(np.asarray(theta, dtype=float))  # scalars take the array path bit for bit
+    if not np.all((0.0 < t) & (t < math.pi)):
         raise GeometryError(f"theta={theta} must lie strictly inside (0, pi)")
-    half_pi = 0.5 * math.pi
-    if theta == half_pi:
-        return 0.0
-    if theta > half_pi:
-        # sin(pi - psi) = sin(psi)
-        return -angular_integral_F(math.pi - theta, n)
-
-    def integrand(psi: float) -> float:
-        return math.sin(psi) ** (1 - n)
-
-    total = 0.0
-    pts = _geometric_breakpoints(theta, half_pi)
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)
-        total += val
-    return -total
+    k = int(n) - 1
+    s = np.sin(t)
+    cot = np.cos(t) / s
+    F = -np.arcsinh(cot) if k % 2 else t - 0.5 * math.pi
+    for j in range(2 + k % 2, k + 1, 2):
+        F = -cot / s ** (j - 2) / (j - 1) + (j - 2) / (j - 1) * F
+    F = np.where(t == 0.5 * math.pi, 0.0, F)
+    return float(F[0]) if np.ndim(theta) == 0 else F
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +255,6 @@ def _cap_mesh(theta: float, density: int) -> np.ndarray:
     return np.linspace(theta, half, max(int(3 * density), 8))
 
 
-def _F_on_gl_nodes(mesh: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes and weights of every mesh element and F(theta) at the
-    nodes (anchored at F(pi/2) = 0 at the right end of the mesh)."""
-    a = mesh[:-1, None]
-    x, wq = _gauss(a, mesh[1:, None], _GL_NODES, _GL_WEIGHTS)
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return np.sin(y) ** (1 - n)
-
-    # integral of sin^(1-n) over each full element
-    per_elem = np.sum(wq * integrand(x), axis=1)
-    F_mesh = np.zeros(len(mesh))
-    F_mesh[:-1] = -np.cumsum(per_elem[::-1])[::-1]  # F at mesh points, F(end)=0
-    # partial integrals from the element's left endpoint to each node
-    y, wq2 = _gauss(a[:, :, None], x[:, :, None], _GL_NODES, _GL_WEIGHTS)
-    partial = np.sum(wq2 * integrand(y), axis=2)
-    F_nodes = F_mesh[:-1, None] + partial
-    return x, wq, F_nodes
-
-
 def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     n, b = tf.n, tf.b_eps
     # annulus, geometric toward the hole where the harmonic profile is steep;
@@ -299,7 +267,8 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
 
     # cap [theta, pi/2] with the cutoff-modified profile v = 1 + C F Phi
     mesh_c = _cap_mesh(tf.theta, density)
-    x, wq, F_nodes = _F_on_gl_nodes(mesh_c, n)
+    x, wq = _gauss(mesh_c[:-1, None], mesh_c[1:, None], _GL_NODES, _GL_WEIGHTS)
+    F_nodes = angular_integral_F(x, n)
     sin_pow = np.sin(x) ** (n - 1)
     phi = cutoff_profile(x)
     dphi = cutoff_profile_deriv(x)
@@ -308,11 +277,9 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     num_cap = float(np.sum(wq * dv**2 * sin_pow))
     den_cap = float(np.sum(wq * v**2 * sin_pow))
 
-    # tail [pi/2, pi] where v == 1
-    mesh_t = np.linspace(0.5 * math.pi, math.pi, max(density, 8))
-    den_tail = _gl_mesh_integrate(lambda t: np.sin(t) ** (n - 1), mesh_t)
-
+    # tail [pi/2, pi] where v == 1: half of int_0^pi sin^(n-1) = omega_n / omega_{n-1}
     w = sphere_measure(n - 1)
+    den_tail = 0.5 * sphere_measure(n) / w
     num = w * (num_ann + b ** (n - 2) * num_cap)
     den = w * (den_ann + b**n * (den_cap + den_tail))
     return num, den
@@ -411,7 +378,11 @@ _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 def _segment_matrices(nodes: np.ndarray, wfun, mfun) -> tuple[np.ndarray, np.ndarray]:
     """Per-element stiffness integrals int_e w and per-node lumped masses
     int m phi_i, both by 3-point Gauss (positive even at degenerate
-    endpoints because the Gauss points are interior)."""
+    endpoints because the Gauss points are interior).  Raises ScaleError
+    before dividing when a squared element length is below the smallest
+    normal float."""
+    if not np.all(np.diff(nodes) ** 2 >= np.finfo(float).tiny):
+        raise ScaleError("radial mesh spacing squared below the smallest normal float; increase eps")
     a, b = nodes[:-1, None], nodes[1:, None]
     x, wq = _gauss(a, b, _GL3_NODES, _GL3_WEIGHTS)
     stiff = np.sum(wq * wfun(x), axis=1)

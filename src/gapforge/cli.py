@@ -35,6 +35,8 @@ from .errors import ConfigError, GapForgeError
 from .intervals import gap_match_report, validate_gap_spec
 
 COMMANDS = ("design", "dispersion", "limit-spectrum", "cell-eigs", "convergence", "bands", "verify")
+# allowance of the min-max check lambda1 (mesh limit) <= Rayleigh bound
+MIN_MAX_SLACK = 1e-10
 
 
 @dataclass
@@ -277,7 +279,8 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
         "resolution": cfg.resolution,
     }
     path = _write(cfg, "cell_eigs.json", dumps_json(payload))
-    return Report("pass", [{"name": "cell-eigs", "pass": True}], [path])
+    bounded = lam1_limit <= bound.quotient + MIN_MAX_SLACK
+    return Report("pass" if bounded else "fail", [{"name": "cell-eigs", "pass": bounded}], [path])
 
 
 def _run_convergence(cfg: RunConfig) -> Report:
@@ -351,7 +354,7 @@ def _run_verify(cfg: RunConfig) -> Report:
         sigma_t = rows[0].sigma_target
         errs = [abs(r.lambda1 - sigma_t) / sigma_t for r in rows]
         monotone = all(b < a for a, b in zip(errs[:-1], errs[1:]))
-        bounded = all(r.lambda1 <= r.rayleigh_upper + 1e-10 for r in rows)
+        bounded = all(r.lambda1 <= r.rayleigh_upper + MIN_MAX_SLACK for r in rows)
         checks.append(
             {
                 "name": "cell_convergence",

@@ -39,6 +39,24 @@ def sphere_measure_oracle(k: int) -> float:
     return om
 
 
+def angular_integral_F_quad(theta: float, n: int) -> float:
+    """int_{pi/2}^{theta} sin^(1-n) by adaptive quadrature over geometric
+    breakpoints (factor 4 toward theta, where the integrand varies on a
+    multiplicative scale); the reference for the closed form."""
+    half_pi = 0.5 * math.pi
+    if theta > half_pi:
+        return -angular_integral_F_quad(math.pi - theta, n)
+    pts = [theta]
+    while pts[-1] * 4.0 < half_pi / 4.0:
+        pts.append(pts[-1] * 4.0)
+    pts.append(half_pi)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        val, _ = quad(lambda t: math.sin(t) ** (1 - n), a, b, epsabs=1e-14, epsrel=1e-12, limit=200)
+        total += val
+    return -total
+
+
 def hausdorff_grid_oracle(a: IntervalSet, b: IntervalSet, window: tuple[float, float],
                           step: float = 1e-4) -> float:
     """Brute-force Hausdorff distance: sample each closed set on a dense

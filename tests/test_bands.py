@@ -238,8 +238,9 @@ class TestBuilder:
     def test_true_n2_scaling_unresolvable(self):
         base = BubbleGeometry(2, ((1.0, 0.3),), kappa=0.5)
         geom = eps_scale(base, 0.5)  # hole radius exp(-4) ~ 0.018 on a cell of size 0.5
+        ch = geom.channels[0]
         with pytest.raises(ResolutionError):
-            build_cell_graph(geom, grid=GridSpec(64))
+            build_cell_graph(holes=[(0.25, 0.25, ch.d_eps, ch.b_eps)], cell_size=geom.eps, grid=GridSpec(64))
 
 
 def path_graph(nv, pairs, ndim):

@@ -25,7 +25,12 @@ from gapforge.design import BubbleGeometry, design_geometry
 from gapforge.errors import GeometryError, ResolutionError, ScaleError
 from gapforge.intervals import validate_gap_spec
 
-from helpers import bubble_cap_cell, random_gap_spec, reference_radial_eigenvalues
+from helpers import (
+    angular_integral_F_quad,
+    bubble_cap_cell,
+    random_gap_spec,
+    reference_radial_eigenvalues,
+)
 
 
 def designed_geometry(n=3, kappa=0.5):
@@ -98,6 +103,27 @@ class TestAngularIntegral:
         for theta in (0.0, math.pi):
             with pytest.raises(GeometryError):
                 angular_integral_F(theta, 3)
+        with pytest.raises(GeometryError):
+            angular_integral_F(np.array([0.3, math.pi]), 3)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_adaptive_quadrature(self, n):
+        # the quadrature starts at the float pi/2, the closed form at pi/2
+        # itself: the two differ by about cos(float pi/2) = 6e-17 absolute
+        thetas = np.concatenate([np.geomspace(1e-12, 1.5, 40), np.linspace(1.5, math.pi - 1e-3, 40)])
+        got = angular_integral_F(thetas, n)
+        for theta, value in zip(thetas, got):
+            assert value == pytest.approx(angular_integral_F_quad(theta, n), rel=1e-11, abs=1e-15)
+
+    def test_array_input(self):
+        thetas = np.array([[1e-9, 0.4], [math.pi / 2, 2.9]])
+        for n in (2, 5, 8):
+            got = angular_integral_F(thetas, n)
+            assert got.shape == thetas.shape
+            assert got[1, 0] == 0.0
+            scalars = [angular_integral_F(float(t), n) for t in thetas.ravel()]
+            assert all(isinstance(v, float) for v in scalars)
+            assert got.ravel().tolist() == scalars
 
 
 class TestTrialFunction:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gapforge.cli import RunConfig, load_config, main, run_pipeline
+from gapforge.cli import MIN_MAX_SLACK, RunConfig, load_config, main, run_pipeline
 from gapforge.errors import ConfigError
 
 
@@ -105,18 +105,22 @@ class TestCommands:
     def test_cell_eigs_n2_small_eps(self, tmp_path):
         # the Rayleigh quadrature spans about 270 decades between the hole
         # and the outer radius here; at resolution 768 the Richardson pair is
-        # in its asymptotic range
-        code = main([
-            "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", "0.1",
-            "--resolution", "768", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        doc = json.loads(read(tmp_path / "cell_eigs.json"))
-        assert doc["lambda1_mesh_limit"] <= doc["rayleigh_upper"]
+        # in its asymptotic range, at 384 it is not and its mesh limit
+        # overshoots the Rayleigh bound: the payload is written, exit 1
+        for resolution, code_expected in (("768", 0), ("384", 1)):
+            out = tmp_path / resolution
+            code = main([
+                "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", "0.1",
+                "--resolution", resolution, "--out", str(out),
+            ])
+            assert code == code_expected, resolution
+            doc = json.loads(read(out / "cell_eigs.json"))
+            bounded = doc["lambda1_mesh_limit"] <= doc["rayleigh_upper"] + MIN_MAX_SLACK
+            assert bounded == (code_expected == 0), resolution
 
     def test_cell_eigs_unrepresentable_scale_exits_2(self, tmp_path):
         # 0.01: the hole radius underflows; 0.09 and 0.093: the radius is
-        # representable but the radial pencil has a zero or non-finite entry
+        # representable but the squared mesh spacing next to the hole is not
         for eps in ("0.01", "0.09", "0.093"):
             out = tmp_path / eps
             code = main([
