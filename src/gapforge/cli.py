@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -104,13 +105,13 @@ def _merged_config(path: str | None, overrides: dict[str, Any] | None) -> RunCon
 
 
 def _check_reals(name: str, values: Any, length: int | None = None) -> None:
-    """``values`` is a list of reals (of the given length)."""
+    """``values`` is a list of finite reals (of the given length)."""
     if (
         not isinstance(values, (list, tuple))
-        or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+        or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
         or (length is not None and len(values) != length)
     ):
-        what = f"a list of {length} reals" if length is not None else "a list of reals"
+        what = f"a list of {length} finite reals" if length is not None else "a list of finite reals"
         raise ConfigError(name, f"expected {what}, got {values!r}")
 
 
@@ -134,6 +135,8 @@ def _validate_config(cfg: RunConfig) -> None:
             continue
         if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise ConfigError(f.name, f"{f.name}={value!r} must be of type {kind}")
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f.name, f"{f.name}={value!r} must be finite")
     if cfg.intervals is not None:
         for k, pair in enumerate(cfg.intervals):
             _check_reals(f"intervals[{k}]", pair, 2)

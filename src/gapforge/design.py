@@ -75,6 +75,10 @@ class HomogenizedModel:
     def __post_init__(self):
         if len(self.sigma) != len(self.rho):
             raise GeometryError("sigma and rho must have equal length")
+        if not all(math.isfinite(v) for v in (*self.sigma, *self.rho)):
+            raise GeometryError("sigma and rho values must be finite")
+        if not math.isfinite(sum(s * r for s, r in zip(self.sigma, self.rho))):
+            raise GeometryError("sum_j sigma_j rho_j overflows the float range")
         for j in range(1, len(self.sigma)):
             if not (self.sigma[j] > self.sigma[j - 1]):
                 raise GeometryError("sigma must be strictly increasing")

@@ -34,7 +34,8 @@ class PoleError(GapForgeError):
 
 
 class ScaleError(GapForgeError):
-    """Scaled radius underflows the floating-point range; advise larger eps."""
+    """A scale leaves the floating-point range: a scaled radius or mesh
+    spacing underflows (advise larger eps) or a root bracket overflows."""
 
 
 class ResolutionError(GapForgeError):

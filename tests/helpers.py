@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from gapforge.bands import PeriodCellGraph
 from gapforge.cell import RadialCell, _assemble_path, _graded_arc
 from gapforge.design import HomogenizedModel
-from gapforge.errors import GeometryError
+from gapforge.errors import GeometryError, PoleError
 from gapforge.intervals import ENDPOINT_TOL, GapSpec, IntervalSet, validate_gap_spec
 
 
@@ -281,6 +281,63 @@ def level_set_roots_via_polynomial(model: HomogenizedModel, a: float) -> tuple[f
     rts = np.roots(poly)
     real = sorted(float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1.0 + abs(r)))
     return tuple(real)
+
+
+def reference_level_set_roots(model: HomogenizedModel, a: float) -> tuple[float, ...]:
+    """Frozen copy of the plain bisection ``dispersion.level_set_roots`` ran
+    before its roots were predicted: F is evaluated at every step, from
+    pole-to-pole brackets.  The predicted solver must return these floats."""
+    sig, rho = model.sigma, model.rho
+
+    def g(lam):
+        for s in sig:
+            if abs(lam - s) < 1e-14 * s:
+                raise PoleError(f"lambda={lam!r} is at the pole sigma={s!r}")
+        total = 1.0
+        for s, r in zip(sig, rho):
+            total += s * r / (s - lam)
+        return lam * total - a
+
+    def bisect(lo, hi):
+        assert g(lo) <= 0.0 <= g(hi)
+        while hi - lo > 4e-16 * (abs(lo) + abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if g(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def shrink_into(pole, other, want_negative):
+        step = 0.5 * (other - pole)
+        for _ in range(200):
+            x = pole + step
+            fx = g(x)
+            if (fx < 0.0) if want_negative else (fx > 0.0):
+                return x
+            step *= 0.5
+        raise AssertionError(f"no sign change detected next to pole {pole}")
+
+    m = model.m
+    roots = []
+    if a == 0.0:
+        roots.append(0.0)
+    elif m == 0:
+        roots.append(a)
+    else:
+        roots.append(bisect(0.0, shrink_into(sig[0], 0.0, want_negative=False)))
+    for j in range(m - 1):
+        lo = shrink_into(sig[j], sig[j + 1], want_negative=True)
+        hi = shrink_into(sig[j + 1], sig[j], want_negative=False)
+        roots.append(bisect(lo, hi))
+    if m > 0:
+        hi = sig[-1] * (1.0 + sum(rho)) + sum(s * r for s, r in zip(sig, rho)) + a
+        while g(hi) <= 0.0:
+            hi *= 2.0
+        roots.append(bisect(shrink_into(sig[-1], hi, want_negative=True), hi))
+    return tuple(roots)
 
 
 def bubble_cap_cell(n: int, b_eps: float, theta: float, nodes: int = 256) -> RadialCell:

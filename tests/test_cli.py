@@ -211,6 +211,10 @@ BAD_CONFIGS = [
     pytest.param("eps_list", {"command": "verify", "intervals": [[1, 2]], "eps_list": [],
                               "with_convergence": True}, id="eps-list-empty"),
     pytest.param("cell_size", {"command": "bands", "cell_size": -1}, id="cell-size-negative"),
+    pytest.param("delta", {"command": "verify", "intervals": [[1, 2]], "delta": math.nan}, id="delta-nan"),
+    pytest.param("holes[0]", {"command": "bands", "holes": [[0.5, 0.5, math.inf, 0.3]]}, id="hole-inf"),
+    pytest.param("intervals[1]", {"command": "design", "intervals": [[1, 2], [3, math.inf]]},
+                 id="interval-inf"),
 ]
 
 
@@ -224,6 +228,30 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
     assert f"error: {field}:" in capsys.readouterr().err
     doc = json.loads(read(out / f"{config['command'].replace('-', '_')}_error.json"))
     assert doc["status"] == "error"
+
+
+# non-finite reals given on the command line, and models whose roots leave
+# the float range: exit 2 with <command>_error.json, no traceback
+BAD_ARGS = [
+    pytest.param("range", ["dispersion", "--sigma", "1", "--range", "0,inf"], id="range-inf"),
+    pytest.param("kappa", ["design", "--intervals", "1,2", "--kappa", "inf"], id="kappa-inf"),
+    pytest.param("sigma", ["dispersion", "--sigma", "nan"], id="sigma-nan"),
+    pytest.param("sigma", ["dispersion", "--sigma", "inf"], id="sigma-inf"),
+    pytest.param("rho", ["dispersion", "--sigma", "1", "--rho", "nan"], id="rho-nan"),
+    pytest.param(None, ["design", "--intervals", "1,2;1e300,2e300"], id="design-1e300"),
+    pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e300"], id="sigma-rho-overflow"),
+    pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e8"], id="bracket-overflow"),
+]
+
+
+@pytest.mark.parametrize("field, argv", BAD_ARGS)
+def test_unrepresentable_value_exits_2(tmp_path, capsys, field, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:" if field else "error: ")
+    assert sorted(os.listdir(out)) == [f"{argv[0]}_error.json"]
+    assert json.loads(read(out / f"{argv[0]}_error.json"))["status"] == "error"
 
 
 class TestDeterminism:

@@ -153,3 +153,15 @@ class TestHomogenizedModel:
     def test_requires_positive_rho(self):
         with pytest.raises(GeometryError):
             HomogenizedModel(3, (1.0,), (0.0,))
+
+    @pytest.mark.parametrize("sigma, rho", [
+        ((math.nan,), (1.0,)),
+        ((math.inf,), (1.0,)),
+        ((1.0, 2.0), (1.0, math.nan)),
+        ((1.0,), (math.inf,)),
+        ((1e300,), (1e300,)),  # each value finite, sigma * rho is not
+        ((1e308, 1.5e308), (1.0, 1.0)),  # each product finite, their sum is not
+    ])
+    def test_rejects_non_finite_values(self, sigma, rho):
+        with pytest.raises(GeometryError):
+            HomogenizedModel(3, sigma, rho)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gapforge import dispersion
 from gapforge.design import HomogenizedModel, design_geometry
 from gapforge.dispersion import (
+    POLE_FLAG_ATOL,
+    POLE_RTOL,
     dispersion_eval,
     f_eval,
     level_set_roots,
@@ -12,9 +15,9 @@ from gapforge.dispersion import (
     mu_roots,
     sample_curve,
 )
-from gapforge.errors import GapForgeError, PoleError
+from gapforge.errors import GapForgeError, PoleError, ScaleError
 
-from helpers import level_set_roots_via_polynomial, random_gap_spec
+from helpers import level_set_roots_via_polynomial, random_gap_spec, reference_level_set_roots
 
 
 def unit_model():
@@ -137,6 +140,102 @@ class TestLevelSets:
             assert np.max(np.abs(primary - oracle) / (1.0 + np.abs(primary))) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """960 seeded designs (n 2-4, m 1-8, 40 each) at the levels 0,
+    0.37 sigma_m and 3.1 sigma_1: a (model, level) list."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (2, 3, 4):
+        for m in range(1, 9):
+            for _ in range(40):
+                _, model = design_geometry(random_gap_spec(rng, m, n))
+                for a in (0.0, 0.37 * model.sigma[-1], 3.1 * model.sigma[0]):
+                    cases.append((model, a))
+    return cases
+
+
+def count_f_evals(monkeypatch):
+    """Count the calls of dispersion.f_eval from here on."""
+    calls = [0]
+    original = dispersion.f_eval
+
+    def counted(model, lam):
+        calls[0] += 1
+        return original(model, lam)
+
+    monkeypatch.setattr(dispersion, "f_eval", counted)
+    return calls
+
+
+class TestPredictedRoots:
+    """The arrowhead prediction and its certificate change how often F is
+    evaluated, never the float returned."""
+
+    def test_bit_equal_to_plain_bisection(self, corpus):
+        assert len(corpus) == 3 * 960
+        for model, a in corpus:
+            assert level_set_roots(model, a) == reference_level_set_roots(model, a), (model, a)
+
+    def test_f_evals_per_root(self, corpus, monkeypatch):
+        # the plain bisection makes about 55 per root on this corpus; a
+        # window that certifies nothing, or is not used, makes as many
+        calls = count_f_evals(monkeypatch)
+        roots = 0
+        for model, a in corpus:
+            roots += len(level_set_roots(model, a)) - (a == 0.0)
+        assert calls[0] <= 10 * roots
+
+    @pytest.mark.parametrize("fault", [
+        lambda p, k, sig: math.nan,
+        lambda p, k, sig: sig[k] if k < len(sig) else sig[k - 1],  # on a pole
+        lambda p, k, sig: p[k + 1] if k + 1 < len(p) else p[k - 1],  # the next branch's root
+        lambda p, k, sig: p[k] * (1.0 + 1e-9),
+    ], ids=["nan", "on-pole", "wrong-branch", "1e-9-off"])
+    def test_faulty_prediction_falls_back(self, fault, monkeypatch):
+        rng = np.random.default_rng(61)
+        predict = dispersion._predicted_roots
+        calls = count_f_evals(monkeypatch)
+        for m in (1, 3, 6):
+            _, model = design_geometry(random_gap_spec(rng, m, 3))
+            for a in (0.0, 0.37 * model.sigma[-1]):
+                expect = reference_level_set_roots(model, a)
+                calls[0] = 0
+                level_set_roots(model, a)
+                clean = calls[0]
+                for k in range(int(a == 0.0), m + 1):
+
+                    def faulty(model, head, k=k):
+                        p = predict(model, head).tolist()
+                        p[k] = fault(p, k, model.sigma)
+                        return np.array(p)
+
+                    monkeypatch.setattr(dispersion, "_predicted_roots", faulty)
+                    calls[0] = 0
+                    assert level_set_roots(model, a) == expect, (m, a, k)
+                    # the plain bisection of one branch costs 30 or more evaluations
+                    assert calls[0] > clean + 20, (m, a, k)
+                    monkeypatch.setattr(dispersion, "_predicted_roots", predict)
+
+    def test_overflowing_last_bracket(self):
+        # sigma * rho is finite, the bracket sigma (1 + rho) + sigma rho is not
+        model = HomogenizedModel(3, (1e300,), (1e8,))
+        with pytest.raises(ScaleError):
+            mu_roots(model)
+
+    def test_lost_bracket_and_no_sign_change_are_errors(self):
+        # GapForgeError, not assert: the CLI exits 2 and python -O keeps them
+        with pytest.raises(GapForgeError, match="lost bracket"):
+            dispersion._bisect(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(GapForgeError, match="no sign change"):
+            dispersion._shrink_into(lambda x: 1.0, 0.0, 1.0, want_negative=True)
+
+    def test_interlacing_violation_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(dispersion, "level_set_roots", lambda model, a: (0.0, 0.5))
+        with pytest.raises(GapForgeError, match="interlacing"):
+            mu_roots(unit_model())
+
+
 class TestLimitSpectrum:
     def test_unit_model(self):
         bands, gaps = limit_spectrum(unit_model(), 10.0)
@@ -221,6 +320,42 @@ class TestSampleCurve:
         assert lines[0] == "lambda,value,pole_adjacent"
         assert len(lines) == 5
         assert lines[1].split(",")[2] == "0"
+
+    def test_bit_equal_to_scalar_eval_across_poles(self):
+        rng = np.random.default_rng(71)
+        for m in range(1, 7):
+            for _ in range(4):
+                model = random_model(rng, m)
+                top = 1.5 * mu_roots(model)[-1]
+                # the first grid also puts samples on the poles' flag zones
+                for rng_ in ((0.0, top), (0.5 * model.sigma[0], float(rng.uniform(1.01, 2.0)) * top)):
+                    curve = sample_curve(model, rng_, 257)
+                    assert [s[0] for s in curve.samples] == np.linspace(*rng_, 257).tolist()
+                    for lam, val, flag in curve.samples:
+                        assert flag == any(abs(lam - s) < POLE_FLAG_ATOL for s in model.sigma)
+                        if flag:
+                            assert math.isnan(val)
+                        else:
+                            assert val == dispersion_eval(model, lam), (lam, val)
+
+    def test_unflagged_sample_at_pole_raises(self):
+        # POLE_RTOL * sigma passes POLE_FLAG_ATOL only for sigma > 1e8
+        sigma = 1e10
+        assert POLE_RTOL * sigma > 10 * POLE_FLAG_ATOL
+        model = HomogenizedModel(3, (1.0, sigma), (1.0, 1.0))
+        near = sigma + 2e-5  # outside the flag zone, inside the pole check
+        curve_range = (near - 1.0, near + 1.0)
+        lam = np.linspace(*curve_range, 3).tolist()[1]
+        assert POLE_FLAG_ATOL < abs(lam - sigma) < POLE_RTOL * sigma
+        with pytest.raises(PoleError) as scalar:
+            dispersion_eval(model, lam)
+        with pytest.raises(PoleError) as curve:
+            sample_curve(model, curve_range, 3)
+        assert str(curve.value) == str(scalar.value)
+
+    def test_non_finite_range_rejected(self):
+        with pytest.raises(GapForgeError):
+            sample_curve(unit_model(), (0.0, math.inf), 5)
 
     def test_count_too_small(self):
         with pytest.raises(GapForgeError):
