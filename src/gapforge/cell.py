@@ -262,7 +262,9 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     # resolved
     decades = math.log10(tf.r_outer / tf.d_eps)
     mesh_a = np.geomspace(tf.d_eps, tf.r_outer, max(int(4 * density), 16, int(density * decades / 12)))
-    num_ann = _gl_mesh_integrate(lambda r: tf.annulus_grad(r) ** 2 * r ** (n - 1), mesh_a)
+    # weight before squaring: next to an n = 2 hole below about 1e-154 the
+    # gradient itself squares past the float range
+    num_ann = _gl_mesh_integrate(lambda r: (tf.annulus_grad(r) * r ** ((n - 1) / 2)) ** 2, mesh_a)
     den_ann = _gl_mesh_integrate(lambda r: tf.annulus_value(r) ** 2 * r ** (n - 1), mesh_a)
 
     # cap [theta, pi/2] with the cutoff-modified profile v = 1 + C F Phi
@@ -274,7 +276,7 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     dphi = cutoff_profile_deriv(x)
     dv = tf.C * (np.sin(x) ** (1 - n) * phi + F_nodes * dphi)
     v = 1.0 + tf.C * F_nodes * phi
-    num_cap = float(np.sum(wq * dv**2 * sin_pow))
+    num_cap = float(np.sum(wq * (dv * np.sin(x) ** ((n - 1) / 2)) ** 2))
     den_cap = float(np.sum(wq * v**2 * sin_pow))
 
     # tail [pi/2, pi] where v == 1: half of int_0^pi sin^(n-1) = omega_n / omega_{n-1}

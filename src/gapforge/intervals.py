@@ -119,8 +119,8 @@ def validate_gap_spec(
         raise GapSpecError("bad_delta", f"delta={delta} must be > 0")
     if horizon is None:
         horizon = 10.0 * pairs[-1][1]
-    if not (horizon > 0.0):
-        raise GapSpecError("bad_horizon", f"horizon L={horizon} must be > 0")
+    if not (0.0 < horizon < math.inf):
+        raise GapSpecError("bad_horizon", f"horizon L={horizon} must be finite and > 0")
     return GapSpec(IntervalSet(tuple(pairs)), int(n), float(delta), float(horizon))
 
 

@@ -197,6 +197,17 @@ class TestRayleighAndFlux:
             prev = dev
         assert abs(num_ratio - 1) < 0.05 and abs(den_ratio - 1) < 0.05
 
+    def test_n2_tiny_hole_bound_is_finite(self):
+        # d_eps 3.2e-190 and 4.4e-303: the gradient next to the hole squares
+        # past the float range, its weighted square does not
+        base, model = design_geometry(validate_gap_spec([(1, 2), (3, 4)], 2))
+        for eps in (0.12, 0.095):
+            geom = eps_scale(base, eps)
+            assert trial_constants(geom, 1).d_eps < 1e-154
+            bound = trial_rayleigh(geom, 1)
+            assert math.isfinite(bound.numerator) and math.isfinite(bound.denominator)
+            assert bound.quotient == pytest.approx(model.sigma[1], rel=0.05)
+
     def test_flux_closed_form_n3(self):
         base, _ = designed_geometry()
         geom = eps_scale(base, 0.1)

@@ -238,9 +238,12 @@ BAD_ARGS = [
     pytest.param("sigma", ["dispersion", "--sigma", "nan"], id="sigma-nan"),
     pytest.param("sigma", ["dispersion", "--sigma", "inf"], id="sigma-inf"),
     pytest.param("rho", ["dispersion", "--sigma", "1", "--rho", "nan"], id="rho-nan"),
-    pytest.param(None, ["design", "--intervals", "1,2;1e300,2e300"], id="design-1e300"),
     pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e300"], id="sigma-rho-overflow"),
-    pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e8"], id="bracket-overflow"),
+    pytest.param(None, ["dispersion", "--sigma", "1e308", "--rho", "1.5"], id="root-overflow"),
+    # the default horizon, 10 mu_m or 10 beta_m, overflows
+    pytest.param(None, ["limit-spectrum", "--sigma", "2e299", "--rho", "1e8"], id="horizon-overflow-sigma"),
+    pytest.param(None, ["limit-spectrum", "--intervals", "1,2;3,2e307"], id="horizon-overflow-intervals"),
+    pytest.param(None, ["verify", "--intervals", "1,2;3,2e307"], id="verify-horizon-overflow"),
 ]
 
 
@@ -250,8 +253,26 @@ def test_unrepresentable_value_exits_2(tmp_path, capsys, field, argv):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:" if field else "error: ")
-    assert sorted(os.listdir(out)) == [f"{argv[0]}_error.json"]
-    assert json.loads(read(out / f"{argv[0]}_error.json"))["status"] == "error"
+    name = f"{argv[0].replace('-', '_')}_error.json"
+    assert sorted(os.listdir(out)) == [name]
+    assert json.loads(read(out / name))["status"] == "error"
+
+
+# models whose poles lie far apart, or whose last root nears the largest float
+WIDE_ARGS = [
+    pytest.param(["design", "--intervals", "1,2;1e300,2e300"], "design.json", id="design-1e300"),
+    pytest.param(["dispersion", "--sigma", "1e300", "--rho", "1e8"], "dispersion.csv", id="bracket-overflow"),
+]
+
+
+@pytest.mark.parametrize("argv, artifact", WIDE_ARGS)
+def test_wide_scale_model_exits_0(tmp_path, argv, artifact):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [artifact]
+    text = read(tmp_path / artifact)
+    assert "Infinity" not in text
+    if argv[0] == "design":
+        assert json.loads(text)["mu"] == pytest.approx([2.0, 2e300], rel=1e-12)
 
 
 class TestDeterminism:

@@ -82,6 +82,16 @@ class TestValidateGapSpec:
             validate_gap_spec([(1, 2)], 3, 0.01, horizon=-5.0)
         assert err.value.code == "bad_horizon"
 
+    @pytest.mark.parametrize("raw, horizon", [
+        ([(1, 2)], math.inf),
+        ([(1, 2)], math.nan),
+        ([(1, 2), (3, 2e307)], None),  # the default horizon 10 beta_m overflows
+    ], ids=["inf", "nan", "default-overflow"])
+    def test_non_finite_horizon(self, raw, horizon):
+        with pytest.raises(GapSpecError) as err:
+            validate_gap_spec(raw, 3, 0.01, horizon=horizon)
+        assert err.value.code == "bad_horizon"
+
 
 class TestComplement:
     def test_between_bands(self):
