@@ -13,6 +13,9 @@ the junction (which enforces continuity plus flux matching) and a natural
 degenerate endpoint at theta = pi.  The ground state is zonal, so the
 first eigenvalue of the reduction is the first eigenvalue of the cell;
 higher entries are the *zonal* spectrum only.
+
+Its eigenvalues take one path: dstebz predicts, two Sturm counts certify,
+and ``dispersion``'s bracketer bisects the rest (46-53 counts each at n = 2).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dstebz
 
 from .design import BubbleGeometry, channel_sigma_rho, sphere_measure
+from .dispersion import bisect, bracket
 from .errors import GeometryError, QuadratureError, ResolutionError, ScaleError
 
 # ---------------------------------------------------------------------------
@@ -459,25 +463,21 @@ def _refine_eigenvalue(
     """Polish a pencil eigenvalue estimate by inverse iteration plus a
     cancellation-free Rayleigh quotient (both quadratic forms are sums of
     nonnegative terms, so the quotient is relatively accurate even though
-    the pencil entries span many orders of magnitude).  None when the
-    iteration wandered off by more than REFINE_WINDOW."""
+    the pencil entries span many orders of magnitude).  None when the shifted
+    pencil is singular or the result leaves REFINE_WINDOW."""
     n = len(diag)
     ab = np.zeros((3, n))
     rng = np.random.default_rng(0x5EED + seed)
     u = rng.standard_normal(n)
     u /= math.sqrt(float(np.sum(mass * u * u)))
-    shift = lam
-    for attempt in range(3):
-        ab[0, 1:] = off
-        ab[1, :] = diag - shift * mass
-        ab[2, :-1] = off
-        try:
-            for _ in range(2):
-                u = solve_banded((1, 1), ab, mass * u)
-                u /= math.sqrt(float(np.sum(mass * u * u)))
-            break
-        except np.linalg.LinAlgError:
-            shift = lam * (1.0 - 1e-10 * (attempt + 1))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1, :] = diag - lam * mass
+    try:
+        for _ in range(2):
+            u = solve_banded((1, 1), ab, mass * u)
+            u /= math.sqrt(float(np.sum(mass * u * u)))
+    except np.linalg.LinAlgError:
+        return None
     ke = -off  # element conductances are positive
     bulk = float(np.sum(ke * (u[:-1] - u[1:]) ** 2))
     residual_diag = diag.copy()
@@ -510,9 +510,9 @@ def _sturm_count(Kd: list[float], Ke: list[float], Md: list[float], lam: float) 
     return count
 
 
-def _predict_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k: int) -> np.ndarray | None:
+def _predict_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k: int) -> np.ndarray:
     """First k eigenvalues of the standard form M^-1/2 K M^-1/2 by LAPACK
-    dstebz, or None when the form is not finite or dstebz fails.  Only a
+    dstebz, or k NaNs when the form is not finite or dstebz fails.  Only a
     prediction: on the graded meshes it sits up to 4e-8 (relative) from
     the pencil eigenvalue, 3e-6 at n = 3, eps = 0.001.  The absolute
     tolerance is the smallest normal float; a tolerance <= 0 would mean
@@ -522,53 +522,24 @@ def _predict_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k:
         root_mass = np.sqrt(mass)
         e = off / (root_mass[:-1] * root_mass[1:])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        return None
+        return np.full(k, math.nan)
     m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, k, np.finfo(float).tiny, "E")
-    if info != 0 or m != k:
-        return None
-    return w[:k]
-
-
-def _bisect_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k: int) -> np.ndarray:
-    """First k pencil eigenvalues by bisection on Sturm counts from the
-    Gershgorin bound, each polished by ``_refine_eigenvalue`` (the
-    bisection midpoint is kept when the refinement wanders)."""
-    Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
-    radius_left = np.concatenate(([0.0], np.abs(off)))
-    radius_right = np.concatenate((np.abs(off), [0.0]))
-    hi0 = float(np.max((diag + radius_left + radius_right) / mass))
-    vals = []
-    lo_floor = 0.0
-    for kk in range(1, k + 1):
-        lo, hi = lo_floor, hi0
-        while hi - lo > EIG_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if _sturm_count(Kd, Ke, Md, mid) >= kk:
-                hi = mid
-            else:
-                lo = mid
-        mid = 0.5 * (lo + hi)
-        refined = _refine_eigenvalue(diag, off, mass, mid, kk)
-        vals.append(mid if refined is None else refined)
-        lo_floor = lo  # eigenvalues come out ascending
-    return np.asarray(vals, dtype=float)
+    return w[:k] if info == 0 and m == k else np.full(k, math.nan)
 
 
 def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     """First k eigenvalues of the weighted 1-D problem, ascending.
 
     Predict, refine, certify (after Barth, Martin & Wilkinson, Numer. Math.
-    9 (1967)): LAPACK dstebz on the standard form predicts each eigenvalue,
-    ``_refine_eigenvalue`` polishes it, and the refined value r of the k-th
-    eigenvalue is accepted only when the Sturm counts of the pencil (K, M)
-    itself put at most k-1 eigenvalues below r(1 - REFINE_WINDOW) and at
-    least k below r(1 + REFINE_WINDOW).  The counts stay relatively accurate where the
-    graded meshes make the standard-form norm enormous.  If any prediction,
-    refinement or count fails, the whole call falls back to bisection on
-    the counts (``_bisect_eigenvalues``, relative tolerance EIG_RTOL).
-    Deterministic.
+    9 (1967)): dstebz on the standard form predicts the kk-th eigenvalue,
+    ``_refine_eigenvalue`` polishes it to r, and ``dispersion.bracket``
+    grows a bracket of g = (Sturm count of the pencil (K, M)) - kk from
+    r(1 -+ REFINE_WINDOW), above the previous eigenvalue's; the counts stay
+    relatively accurate where the standard-form norm is enormous.  If the
+    bracket had to widen, ``dispersion.bisect`` halves it to relative width
+    EIG_RTOL and the midpoint is polished.  Without a usable prediction the
+    bracket grows from the previous eigenvalue, or from min K_ii/M_ii >=
+    lambda_1.  Deterministic.
     """
     for size in cell.segment_sizes:
         if size < 64:
@@ -577,7 +548,7 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     # Dirichlet at the first path node
     diag, mass = diag[1:], mass[1:]
     off = off[1:]
-    # a zero or subnormal lumped mass overflows the Gershgorin bound K/M
+    # a zero or subnormal lumped mass overflows K/M
     finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
     if not (finite and np.all(mass >= np.finfo(float).tiny)):
         raise ScaleError(
@@ -586,20 +557,22 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
         )
     if k < 1 or k > len(diag):
         raise ResolutionError(f"k={k} eigenvalues requested from a {len(diag)}-unknown cell")
-    predicted = _predict_eigenvalues(diag, off, mass, k)
-    if predicted is None:
-        return _bisect_eigenvalues(diag, off, mass, k)
     Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
-    vals = []
-    for kk, guess in enumerate(predicted.tolist(), start=1):
-        r = _refine_eigenvalue(diag, off, mass, guess, kk) if math.isfinite(guess) else None
-        if (
-            r is None
-            or _sturm_count(Kd, Ke, Md, r * (1.0 - REFINE_WINDOW)) > kk - 1
-            or _sturm_count(Kd, Ke, Md, r * (1.0 + REFINE_WINDOW)) < kk
-        ):
-            return _bisect_eigenvalues(diag, off, mass, k)
+    vals: list[float] = []
+    floor = 0.0  # below the kk-th eigenvalue: count - kk < 0 there
+    for kk, guess in enumerate(_predict_eigenvalues(diag, off, mass, k).tolist(), start=1):
+        g = lambda lam: _sturm_count(Kd, Ke, Md, lam) - kk
+        r = _refine_eigenvalue(diag, off, mass, guess, kk) if guess > floor else None
+        p = r if r is not None else (vals[-1] if vals else float(np.min(diag / mass)))
+        lo, hi = bracket(g, p, REFINE_WINDOW, floor, math.inf)
+        # r is certified when the first window brackets the eigenvalue; a
+        # widened bracket never ends at r(1 + REFINE_WINDOW)
+        if r is None or hi != r * (1.0 + REFINE_WINDOW):
+            mid = bisect(g, lo, hi, 0.5 * EIG_RTOL)
+            refined = _refine_eigenvalue(diag, off, mass, mid, kk)
+            r = mid if refined is None else refined
         vals.append(r)
+        floor = lo
     return np.asarray(vals, dtype=float)
 
 

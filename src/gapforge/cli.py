@@ -38,6 +38,8 @@ from .intervals import gap_match_report, validate_gap_spec
 COMMANDS = ("design", "dispersion", "limit-spectrum", "cell-eigs", "convergence", "bands", "verify")
 # allowance of the min-max check lambda1 (mesh limit) <= Rayleigh bound
 MIN_MAX_SLACK = 1e-10
+# most dispersion curve samples, about a 60 MB CSV
+MAX_COUNT = 1_000_000
 
 
 @dataclass
@@ -155,13 +157,15 @@ def _validate_config(cfg: RunConfig) -> None:
                      ("num_eigs", 1), ("base_resolution", 2), ("channel", 0)):
         if getattr(cfg, name) < lo:
             raise ConfigError(name, f"{name}={getattr(cfg, name)} must be >= {lo}")
+    if cfg.count > MAX_COUNT:
+        raise ConfigError("count", f"count={cfg.count} must be <= {MAX_COUNT}")
     for name in ("delta", "kappa", "L", "eps", "cell_size"):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
             raise ConfigError(name, f"{name}={value} must be > 0")
     if not cfg.eps_list:
         raise ConfigError("eps_list", "eps_list must not be empty")
-    if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
+    if any(b >= a for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         raise ConfigError("eps_list", "eps_list must be strictly decreasing")
 
 

@@ -338,6 +338,19 @@ def seeded_radial_cells():
 SEEDED_CELLS = seeded_radial_cells()
 
 
+def count_sturm_passes(monkeypatch):
+    """The shifts of every cell._sturm_count call from here on."""
+    counts = []
+    real_count = cell_module._sturm_count
+
+    def counted(*args):
+        counts.append(args[-1])
+        return real_count(*args)
+
+    monkeypatch.setattr(cell_module, "_sturm_count", counted)
+    return counts
+
+
 def designed_cell(eps=0.05, resolution=384):
     base, _ = designed_geometry()
     return build_radial_cell(eps_scale(base, eps), 0, resolution)
@@ -350,12 +363,12 @@ class TestRadialEngine:
         ref = reference_radial_eigenvalues(cell, k)
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
-    @pytest.mark.parametrize("fault", ["nan", "next_eigenvalue", "off_by_1e-3"])
+    @pytest.mark.parametrize("fault", ["nan", "next_eigenvalue", "off_by_1e-3", "negative", "all_nan"])
     def test_predictor_faults_fall_back(self, monkeypatch, fault):
-        # each fault hits the last prediction only, so the call falls back
-        # after certifying the others; the fallback is the reference loop
+        # every fault but all_nan hits the last prediction only; its bracket
+        # grows from the refined fault or from the previous eigenvalue, and
+        # bisects
         real_predict = cell_module._predict_eigenvalues
-        real_bisect = cell_module._bisect_eigenvalues
 
         def faulty(diag, off, mass, k):
             w = real_predict(diag, off, mass, k + 1).copy()
@@ -363,32 +376,60 @@ class TestRadialEngine:
                 w[k - 1] = math.nan
             elif fault == "next_eigenvalue":
                 w[k - 1] = w[k]
-            else:
+            elif fault == "off_by_1e-3":
                 w[k - 1] *= 1.0 + 1e-3
+            elif fault == "negative":
+                w[k - 1] = -w[k - 1]
+            else:
+                w[:] = math.nan
             return w[:k]
 
-        fallbacks = []
-
-        def counted_bisect(*args):
-            fallbacks.append(args[-1])
-            return real_bisect(*args)
-
         monkeypatch.setattr(cell_module, "_predict_eigenvalues", faulty)
-        monkeypatch.setattr(cell_module, "_bisect_eigenvalues", counted_bisect)
+        counts = count_sturm_passes(monkeypatch)
         for cell, k in ((designed_cell(0.05, 128), 3), (disk_cell(2, 0.25, 1024), 2)):
+            counts.clear()
             got = radial_eigenvalues(cell, k)
-            assert np.array_equal(got, reference_radial_eigenvalues(cell, k))
-        assert fallbacks == [3, 2]
+            ref = reference_radial_eigenvalues(cell, k)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+            assert 2 * k < len(counts) <= 64 * k
+
+    def test_n2_cell_without_prediction_takes_few_counts(self, monkeypatch):
+        # dstebz fails on this cell; the Gershgorin bisection this replaced
+        # took 941.5 counts per eigenvalue
+        base, _ = designed_geometry(n=2)
+        cell = build_radial_cell(eps_scale(base, 0.1), 0, 384)
+        diag, off, mass = cell_module._assemble_path(cell)
+        assert np.all(np.isnan(cell_module._predict_eigenvalues(diag[1:], off[1:], mass[1:], 2)))
+        counts = count_sturm_passes(monkeypatch)
+        got = radial_eigenvalues(cell, 2)
+        assert len(counts) <= 64 * 2
+        ref = reference_radial_eigenvalues(cell, 2)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_singular_refinement_is_bisected(self, monkeypatch):
+        # the first solve of every eigenvalue is singular, as at a prediction
+        # that is an exact eigenvalue of the shifted pencil: the refinement of
+        # the prediction fails, that of the bisection midpoint (two solves)
+        # does not
+        real_solve = cell_module.solve_banded
+        calls = []
+
+        def singular_first(*args):
+            calls.append(None)
+            if len(calls) % 3 == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(*args)
+
+        monkeypatch.setattr(cell_module, "solve_banded", singular_first)
+        for cell, k in ((designed_cell(0.05, 128), 3), (disk_cell(2, 0.25, 1024), 2)):
+            calls.clear()
+            got = radial_eigenvalues(cell, k)
+            assert len(calls) == 3 * k
+            ref = reference_radial_eigenvalues(cell, k)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_fast_path_takes_two_counts_per_eigenvalue(self, monkeypatch):
-        counts = []
-        real_count = cell_module._sturm_count
-
-        def counted(*args):
-            counts.append(args[-1])
-            return real_count(*args)
-
-        monkeypatch.setattr(cell_module, "_sturm_count", counted)
+        counts = count_sturm_passes(monkeypatch)
         for resolution in (384, 768):
             counts.clear()
             lam = radial_eigenvalues(designed_cell(0.05, resolution), 2)

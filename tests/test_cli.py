@@ -210,6 +210,8 @@ BAD_CONFIGS = [
     pytest.param("intervals[0]", {"command": "design", "intervals": [1, 2]}, id="intervals-flat"),
     pytest.param("eps_list", {"command": "verify", "intervals": [[1, 2]], "eps_list": [],
                               "with_convergence": True}, id="eps-list-empty"),
+    pytest.param("eps_list", {"command": "convergence", "intervals": [[1, 2]], "eps_list": [0.2, 0.2, 0.1]},
+                 id="eps-list-tied"),
     pytest.param("cell_size", {"command": "bands", "cell_size": -1}, id="cell-size-negative"),
     pytest.param("delta", {"command": "verify", "intervals": [[1, 2]], "delta": math.nan}, id="delta-nan"),
     pytest.param("holes[0]", {"command": "bands", "holes": [[0.5, 0.5, math.inf, 0.3]]}, id="hole-inf"),
@@ -230,14 +232,16 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
     assert doc["status"] == "error"
 
 
-# non-finite reals given on the command line, and models whose roots leave
-# the float range: exit 2 with <command>_error.json, no traceback
+# non-finite reals or a sample count past MAX_COUNT given on the command
+# line, and models whose roots leave the float range: exit 2 with
+# <command>_error.json, no traceback
 BAD_ARGS = [
     pytest.param("range", ["dispersion", "--sigma", "1", "--range", "0,inf"], id="range-inf"),
     pytest.param("kappa", ["design", "--intervals", "1,2", "--kappa", "inf"], id="kappa-inf"),
     pytest.param("sigma", ["dispersion", "--sigma", "nan"], id="sigma-nan"),
     pytest.param("sigma", ["dispersion", "--sigma", "inf"], id="sigma-inf"),
     pytest.param("rho", ["dispersion", "--sigma", "1", "--rho", "nan"], id="rho-nan"),
+    pytest.param("count", ["dispersion", "--sigma", "1,2", "--count", "100000000000000000000"], id="count-huge"),
     pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e300"], id="sigma-rho-overflow"),
     pytest.param(None, ["dispersion", "--sigma", "1e308", "--rho", "1.5"], id="root-overflow"),
     # the default horizon, 10 mu_m or 10 beta_m, overflows

@@ -17,6 +17,7 @@ from gapforge.dispersion import (
     sample_curve,
 )
 from gapforge.errors import GapForgeError, PoleError, ScaleError
+from gapforge.intervals import validate_gap_spec
 
 from helpers import level_set_roots_via_polynomial, random_gap_spec, reference_level_set_roots
 
@@ -242,6 +243,15 @@ class TestPredictedRoots:
         for mu in mu_roots(model):
             assert f_eval(model, mu * (1 - 1e-14)) < 0.0 < f_eval(model, mu * (1 + 1e-14))
 
+    def test_widely_spread_design_takes_few_evaluations(self, monkeypatch):
+        # eigvalsh predicts mu_1 = 2 as 5.55e283 (ulp * ||A|| is about 1e284),
+        # so its bracket spans [1, 4e283]; halving it arithmetically took
+        # 1,012 evaluations
+        _, model = design_geometry(validate_gap_spec([(1, 2), (1e300, 2e300)], 3))
+        calls = count_f_evals(monkeypatch)
+        assert mu_roots(model) == pytest.approx((2.0, 2e300), rel=1e-15)
+        assert calls[0] <= 100
+
     def test_lost_bracket_and_no_sign_change_are_errors(self):
         # GapForgeError, not assert: the CLI exits 2 and python -O keeps them.
         # g > 0 on the whole branch loses the bracket at its left end, g < 0
@@ -255,6 +265,26 @@ class TestPredictedRoots:
         monkeypatch.setattr(dispersion, "level_set_roots", lambda model, a: (0.0, 0.5))
         with pytest.raises(GapForgeError, match="interlacing"):
             mu_roots(unit_model())
+
+
+class TestBisect:
+    def test_midpoint_is_geometric_on_wide_brackets(self):
+        # about 10 geometric steps bring [1, 1e300] within a factor of 2, where
+        # arithmetic halving would take 1,000; brackets within a factor of 2
+        # keep the arithmetic midpoint
+        shifts = []
+
+        def g(x):
+            shifts.append(x)
+            return x - 3.0
+
+        root = dispersion.bisect(g, 1.0, 1e300, ROOT_RTOL)
+        assert abs(root - 3.0) <= 2 * ROOT_RTOL * 3.0
+        assert shifts[0] == 1e150
+        assert len(shifts) <= 64
+        shifts.clear()
+        dispersion.bisect(g, 2.0, 4.0, ROOT_RTOL)
+        assert shifts[:2] == [3.0, 2.5]
 
 
 class TestLimitSpectrum:
