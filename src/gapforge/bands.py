@@ -136,7 +136,6 @@ def build_cell_graph(
     # square grid vertices, minus hole interiors
     idx = -np.ones((N + 1, N + 1), dtype=int)
     masses: list[float] = []
-    coords: list[tuple[float, float]] = []
     for i in range(N + 1):
         for j in range(N + 1):
             x, y = i * h, j * h
@@ -146,7 +145,6 @@ def build_cell_graph(
             fy = 0.5 if j in (0, N) else 1.0
             idx[i, j] = len(masses)
             masses.append(fx * fy * h * h)
-            coords.append((x, y))
 
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
@@ -163,7 +161,7 @@ def build_cell_graph(
                 weights.append(0.5 if i in (0, N) else 1.0)
 
     for cx, cy, r, b in holes:
-        _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b)
+        _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b)
 
     pairs: list[tuple[int, int, int]] = []
     for j in range(N + 1):
@@ -182,12 +180,13 @@ def build_cell_graph(
     return graph
 
 
-def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b):
+def _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b):
     """Latitude-longitude graph on the truncated sphere of radius b,
     identified ring-to-ring with the hole-boundary vertices of the square
     grid (angular matching); masses are exact cell areas on the sphere."""
     # hole-boundary ring: alive square vertices that lost a neighbour
     ring: list[int] = []
+    phis: list[float] = []
     for i in range(N + 1):
         for j in range(N + 1):
             a = idx[i, j]
@@ -202,12 +201,12 @@ def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b):
                         nb_removed = True
             if nb_removed:
                 ring.append(a)
+                phis.append(math.atan2(j * h - cy, i * h - cx))
     if len(ring) < 4:
         raise ResolutionError("hole boundary ring has fewer than 4 vertices")
-    phis = np.array([math.atan2(coords[a][1] - cy, coords[a][0] - cx) for a in ring])
     order = np.argsort(phis)
     ring = [ring[k] for k in order]
-    phis = phis[order]
+    phis = np.asarray(phis)[order]
     Q = len(ring)
     # azimuthal cell widths (non-uniform ring spacing on the square grid)
     dphi = np.empty(Q)
@@ -233,10 +232,8 @@ def _glue_bubble(masses, coords, edges, weights, idx, N, h, cx, cy, r, b):
         for q in range(Q):
             ring_ids[p][q] = len(masses)
             masses.append(area(angles[p] - 0.5 * dth, angles[p] + 0.5 * dth, dphi[q]))
-            coords.append((cx, cy))
     pole = len(masses)
     masses.append(area(math.pi - 0.5 * dth, math.pi, 2 * math.pi))
-    coords.append((cx, cy))
 
     for p in range(P):
         th_mid = angles[p] + 0.5 * dth

@@ -7,10 +7,11 @@ zonally symmetric eigenproblem reduces to a weighted 1-D problem
     -(w u')' = lambda m u
 
 with stiffness density r^(n-1) on the annulus and b^(n-2) sin^(n-1)(theta)
-on the arc, mass density r^(n-1) and b^n sin^(n-1)(theta) (common factor
-omega_{n-1}), Dirichlet at the outer annulus radius, a shared unknown at
-the junction (which enforces continuity plus flux matching) and a natural
-degenerate endpoint at theta = pi.  The ground state is zonal, so the
+on the arc, mass density r^(n-1) and b^n sin^(n-1)(theta) (the common
+factor omega_{n-1} of both sides is left out), Dirichlet at the outer
+annulus radius, a shared unknown at the junction (which enforces
+continuity plus flux matching) and a natural degenerate endpoint at
+theta = pi.  The ground state is zonal, so the
 first eigenvalue of the reduction is the first eigenvalue of the cell;
 higher entries are the *zonal* spectrum only.
 
@@ -325,30 +326,24 @@ def junction_flux(geom: EpsGeometry, j: int) -> JunctionFlux:
 
 @dataclass(frozen=True)
 class RadialCell:
-    """Composite 1-D cell.  ``annulus_nodes`` ascend in r (may be None for
-    the cap-only variant), ``arc_nodes`` ascend in theta (None for the pure
-    disk).  The first path node carries the Dirichlet condition: the outer
-    annulus radius when an annulus is present, else the arc start."""
+    """Composite 1-D cell: an annulus whose nodes ascend in r, clamped
+    (Dirichlet) at its outer radius, and a cap on the sphere of radius
+    ``b_eps`` whose ``arc_nodes`` ascend in theta from the junction with
+    the annulus's first node (None for the flat disk)."""
 
     n: int
-    annulus_nodes: np.ndarray | None
-    arc_nodes: np.ndarray | None
+    annulus_nodes: np.ndarray
+    arc_nodes: np.ndarray | None = None
     b_eps: float = 0.0
 
     def __post_init__(self):
-        if self.annulus_nodes is None and self.arc_nodes is None:
-            raise GeometryError("cell needs at least one segment")
         if self.arc_nodes is not None and not (self.b_eps > 0.0):
             raise GeometryError("arc segment requires a positive bubble radius")
 
     @property
     def segment_sizes(self) -> tuple[int, ...]:
-        out = []
-        if self.annulus_nodes is not None:
-            out.append(len(self.annulus_nodes))
-        if self.arc_nodes is not None:
-            out.append(len(self.arc_nodes))
-        return tuple(out)
+        arc = () if self.arc_nodes is None else (len(self.arc_nodes),)
+        return (len(self.annulus_nodes), *arc)
 
 
 def _graded_arc(theta: float, count: int) -> np.ndarray:
@@ -374,7 +369,7 @@ def build_radial_cell(geom: EpsGeometry, j: int, nodes_per_segment: int = 256) -
 
 def disk_cell(n: int, radius: float, nodes: int = 2048) -> RadialCell:
     """Flat n-ball of the given radius: Dirichlet rim, natural centre."""
-    return RadialCell(n, np.linspace(0.0, radius, nodes), None)
+    return RadialCell(n, np.linspace(0.0, radius, nodes))
 
 
 _GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
@@ -382,72 +377,53 @@ _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 def _segment_matrices(nodes: np.ndarray, wfun, mfun) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element stiffness integrals int_e w and per-node lumped masses
-    int m phi_i, both by 3-point Gauss (positive even at degenerate
-    endpoints because the Gauss points are interior).  Raises ScaleError
-    before dividing when a squared element length is below the smallest
-    normal float."""
-    if not np.all(np.diff(nodes) ** 2 >= np.finfo(float).tiny):
+    """Per-element conductances int_e w (phi')^2 = int_e w / h^2 and
+    per-node lumped masses int m phi_i, both by 3-point Gauss (positive even
+    at degenerate endpoints because the Gauss points are interior).  Raises
+    ScaleError before dividing when a squared element length is below the
+    smallest normal float."""
+    h = np.diff(nodes)
+    if not np.all(h**2 >= np.finfo(float).tiny):
         raise ScaleError("radial mesh spacing squared below the smallest normal float; increase eps")
     a, b = nodes[:-1, None], nodes[1:, None]
     x, wq = _gauss(a, b, _GL3_NODES, _GL3_WEIGHTS)
-    stiff = np.sum(wq * wfun(x), axis=1)
+    cond = np.sum(wq * wfun(x), axis=1) / h**2
     mvals = wq * mfun(x)
     # linear hat functions on the element
     lam = (x - a) / (b - a)
-    m_left = np.sum(mvals * (1.0 - lam), axis=1)
-    m_right = np.sum(mvals * lam, axis=1)
     lumped = np.zeros(len(nodes))
-    np.add.at(lumped, np.arange(len(nodes) - 1), m_left)
-    np.add.at(lumped, np.arange(1, len(nodes)), m_right)
-    return stiff, lumped
+    lumped[:-1] += np.sum(mvals * (1.0 - lam), axis=1)
+    lumped[1:] += np.sum(mvals * lam, axis=1)
+    return cond, lumped
 
 
-def _assemble_path(cell: RadialCell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal (diag, offdiag, lumped mass) along the path
-    [outer annulus ... junction ... pi], Dirichlet node first, with the
-    common factor omega_{n-1} applied to both sides."""
+def _assemble_path(cell: RadialCell) -> tuple[np.ndarray, np.ndarray]:
+    """The cell as a weighted path [outer annulus ... junction ... pi] with
+    its Dirichlet node removed: conductances k and lumped masses m of the
+    free nodes.  Free node i joins the node before it through k[i]; k[0]
+    joins it to the clamped node.  The common factor omega_{n-1} scales
+    stiffness and mass alike, so it is left out."""
     n = cell.n
-    diag_parts: list[np.ndarray] = []
-    off_parts: list[np.ndarray] = []
-    mass_parts: list[np.ndarray] = []
-
-    def push(nodes_path: np.ndarray, stiff: np.ndarray, lumped: np.ndarray, merge: bool):
-        h = np.abs(np.diff(nodes_path))
-        k = stiff / h**2  # int_e w * (phi')^2 with phi' = 1/h
-        d = np.zeros(len(nodes_path))
-        d[:-1] += k
-        d[1:] += k
-        if merge and diag_parts:
-            diag_parts[-1][-1] += d[0]
-            mass_parts[-1][-1] += lumped[0]
-            diag_parts.append(d[1:])
-            mass_parts.append(lumped[1:])
-        else:
-            diag_parts.append(d)
-            mass_parts.append(lumped)
-        off_parts.append(-k)
-
-    if cell.annulus_nodes is not None:
-        r = cell.annulus_nodes
-        stiff, lumped = _segment_matrices(r, lambda x: x ** (n - 1), lambda x: x ** (n - 1))
-        # walk the path outer -> inner so the Dirichlet node is first
-        push(r[::-1], stiff[::-1], lumped[::-1], merge=False)
+    k, m = _segment_matrices(cell.annulus_nodes, lambda x: x ** (n - 1), lambda x: x ** (n - 1))
+    # walk the annulus outer -> inner so the clamped node is first
+    k, m = k[::-1], m[::-1]
     if cell.arc_nodes is not None:
-        t = cell.arc_nodes
         b = cell.b_eps
-        stiff, lumped = _segment_matrices(
-            t,
+        k_arc, m_arc = _segment_matrices(
+            cell.arc_nodes,
             lambda x: b ** (n - 2) * np.sin(x) ** (n - 1),
             lambda x: b**n * np.sin(x) ** (n - 1),
         )
-        push(t, stiff, lumped, merge=cell.annulus_nodes is not None)
+        # annulus and arc share the junction node
+        k = np.concatenate([k, k_arc])
+        m = np.concatenate([m[:-1], [m[-1] + m_arc[0]], m_arc[1:]])
+    return k, m[1:]
 
-    w = sphere_measure(n - 1)
-    diag = w * np.concatenate(diag_parts)
-    off = w * np.concatenate(off_parts)
-    mass = w * np.concatenate(mass_parts)
-    return diag, off, mass
+
+def _tridiagonal(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the stiffness of the path with
+    conductances k (see ``_assemble_path``)."""
+    return k + np.append(k[1:], 0.0), -k[1:]
 
 
 EIG_RTOL = 1e-12
@@ -458,13 +434,14 @@ _PIVMIN = 1e-300
 
 
 def _refine_eigenvalue(
-    diag: np.ndarray, off: np.ndarray, mass: np.ndarray, lam: float, seed: int
+    k: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: np.ndarray, lam: float, seed: int
 ) -> float | None:
-    """Polish a pencil eigenvalue estimate by inverse iteration plus a
-    cancellation-free Rayleigh quotient (both quadratic forms are sums of
-    nonnegative terms, so the quotient is relatively accurate even though
-    the pencil entries span many orders of magnitude).  None when the shifted
-    pencil is singular or the result leaves REFINE_WINDOW."""
+    """Polish a pencil eigenvalue estimate by inverse iteration plus the
+    Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2, u_{-1} = 0
+    at the clamped node.  Both sums have only nonnegative terms, so the
+    quotient is relatively accurate even though the pencil entries span many
+    orders of magnitude.  None when the shifted pencil is singular or the
+    result leaves REFINE_WINDOW."""
     n = len(diag)
     ab = np.zeros((3, n))
     rng = np.random.default_rng(0x5EED + seed)
@@ -478,15 +455,7 @@ def _refine_eigenvalue(
             u /= math.sqrt(float(np.sum(mass * u * u)))
     except np.linalg.LinAlgError:
         return None
-    ke = -off  # element conductances are positive
-    bulk = float(np.sum(ke * (u[:-1] - u[1:]) ** 2))
-    residual_diag = diag.copy()
-    residual_diag[:-1] += off
-    residual_diag[1:] += off
-    edge = float(np.sum(np.maximum(residual_diag, 0.0) * u * u))
-    num = bulk + edge
-    den = float(np.sum(mass * u * u))
-    refined = num / den
+    refined = float(np.sum(k * np.diff(u, prepend=0.0) ** 2)) / float(np.sum(mass * u * u))
     if not math.isfinite(refined) or abs(refined - lam) > REFINE_WINDOW * (abs(lam) + 1e-300):
         return None
     return refined
@@ -544,13 +513,10 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     for size in cell.segment_sizes:
         if size < 64:
             raise ResolutionError(f"segment with {size} nodes; need >= 64 per segment")
-    diag, off, mass = _assemble_path(cell)
-    # Dirichlet at the first path node
-    diag, mass = diag[1:], mass[1:]
-    off = off[1:]
+    cond, mass = _assemble_path(cell)
+    diag, off = _tridiagonal(cond)
     # a zero or subnormal lumped mass overflows K/M
-    finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
-    if not (finite and np.all(mass >= np.finfo(float).tiny)):
+    if not (np.all(np.isfinite(diag)) and np.all(mass >= np.finfo(float).tiny)):
         raise ScaleError(
             "radial pencil not representable at this scale (lumped mass below the smallest"
             " normal float or a non-finite stiffness); increase eps"
@@ -562,14 +528,14 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     floor = 0.0  # below the kk-th eigenvalue: count - kk < 0 there
     for kk, guess in enumerate(_predict_eigenvalues(diag, off, mass, k).tolist(), start=1):
         g = lambda lam: _sturm_count(Kd, Ke, Md, lam) - kk
-        r = _refine_eigenvalue(diag, off, mass, guess, kk) if guess > floor else None
+        r = _refine_eigenvalue(cond, diag, off, mass, guess, kk) if guess > floor else None
         p = r if r is not None else (vals[-1] if vals else float(np.min(diag / mass)))
         lo, hi = bracket(g, p, REFINE_WINDOW, floor, math.inf)
         # r is certified when the first window brackets the eigenvalue; a
         # widened bracket never ends at r(1 + REFINE_WINDOW)
         if r is None or hi != r * (1.0 + REFINE_WINDOW):
             mid = bisect(g, lo, hi, 0.5 * EIG_RTOL)
-            refined = _refine_eigenvalue(diag, off, mass, mid, kk)
+            refined = _refine_eigenvalue(cond, diag, off, mass, mid, kk)
             r = mid if refined is None else refined
         vals.append(r)
         floor = lo

@@ -38,7 +38,9 @@ from .intervals import gap_match_report, validate_gap_spec
 COMMANDS = ("design", "dispersion", "limit-spectrum", "cell-eigs", "convergence", "bands", "verify")
 # allowance of the min-max check lambda1 (mesh limit) <= Rayleigh bound
 MIN_MAX_SLACK = 1e-10
-# most dispersion curve samples, about a 60 MB CSV
+# most dispersion curve samples (about a 60 MB CSV), radial nodes, cell
+# eigenvalues and bands; the grid sides, whose cost grows with the square,
+# stop at its square root
 MAX_COUNT = 1_000_000
 
 
@@ -153,12 +155,15 @@ def _validate_config(cfg: RunConfig) -> None:
         _check_reals(f"holes[{k}]", hole, 4)
     if cfg.sigma is not None and cfg.rho is not None and len(cfg.sigma) != len(cfg.rho):
         raise ConfigError("rho", "sigma and rho must have the same length")
-    for name, lo in (("count", 2), ("resolution", 64), ("theta_grid", 2), ("num_bands", 1),
-                     ("num_eigs", 1), ("base_resolution", 2), ("channel", 0)):
-        if getattr(cfg, name) < lo:
-            raise ConfigError(name, f"{name}={getattr(cfg, name)} must be >= {lo}")
-    if cfg.count > MAX_COUNT:
-        raise ConfigError("count", f"count={cfg.count} must be <= {MAX_COUNT}")
+    side = math.isqrt(MAX_COUNT)
+    for name, lo, hi in (("count", 2, MAX_COUNT), ("resolution", 64, MAX_COUNT), ("theta_grid", 2, side),
+                         ("num_bands", 1, MAX_COUNT), ("num_eigs", 1, MAX_COUNT),
+                         ("base_resolution", 2, side), ("channel", 0, math.inf)):
+        value = getattr(cfg, name)
+        if value < lo:
+            raise ConfigError(name, f"{name}={value} must be >= {lo}")
+        if value > hi:
+            raise ConfigError(name, f"{name}={value} must be <= {hi}")
     for name in ("delta", "kappa", "L", "eps", "cell_size"):
         value = getattr(cfg, name)
         if value is not None and value <= 0:

@@ -4,9 +4,9 @@
         python tests/golden/regenerate.py tests/golden
 
 rewrites the checked-in golden files; ``tests/test_golden.py`` runs the
-same script into a temporary directory and compares bytes.  Pin the BLAS
-threads: band eigenvalues move in the 16th-17th digit with the thread
-count.
+same script into a temporary directory and compares bytes.  The script
+exits 2 unless both BLAS thread variables are 1: band eigenvalues move in
+the 16th-17th digit with the thread count.
 """
 
 from __future__ import annotations
@@ -39,5 +39,10 @@ def regenerate(root: str) -> dict[str, int]:
 
 
 if __name__ == "__main__":
+    threads = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if any(value != "1" for value in threads.values()):
+        print(f"regenerate.py needs OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1, got {threads}",
+              file=sys.stderr)
+        sys.exit(2)
     codes = regenerate(sys.argv[1])
     sys.exit(2 if any(code == 2 for code in codes.values()) else 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from gapforge.bands import PeriodCellGraph
-from gapforge.cell import RadialCell, _assemble_path, _graded_arc
+from gapforge.cell import RadialCell, _assemble_path
 from gapforge.design import HomogenizedModel
 from gapforge.errors import GeometryError, PoleError
 from gapforge.intervals import ENDPOINT_TOL, GapSpec, IntervalSet, validate_gap_spec
@@ -340,9 +341,22 @@ def reference_level_set_roots(model: HomogenizedModel, a: float) -> tuple[float,
     return tuple(roots)
 
 
-def bubble_cap_cell(n: int, b_eps: float, theta: float, nodes: int = 256) -> RadialCell:
-    """Cap-only degenerate cell: Dirichlet at theta, natural at pi."""
-    return RadialCell(n, None, _graded_arc(theta, nodes), b_eps)
+def exact_rayleigh_quotient(cell: RadialCell, lam: float) -> Fraction:
+    """Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2 (u_{-1} = 0)
+    of the radial path, in exact rational arithmetic on its float conductances
+    and masses, for the float vector u of three inverse-iteration steps at
+    the shift lam."""
+    cond, mass = _assemble_path(cell)
+    ab = np.zeros((3, len(mass)))
+    ab[0, 1:] = ab[2, :-1] = -cond[1:]
+    ab[1] = cond + np.append(cond[1:], 0.0) - lam * mass
+    u = np.ones(len(mass))
+    for _ in range(3):
+        u = scipy.linalg.solve_banded((1, 1), ab, mass * u)
+        u /= np.max(np.abs(u))
+    k, m, x = ([Fraction(v) for v in a.tolist()] for a in (cond, mass, u))
+    du = [x[0]] + [b - a for a, b in zip(x[:-1], x[1:])]
+    return sum(ki * d * d for ki, d in zip(k, du)) / sum(mi * v * v for mi, v in zip(m, x))
 
 
 def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
@@ -350,9 +364,13 @@ def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     computed them before it predicted with dstebz: bisection on Sturm counts
     from the Gershgorin bound to relative width 1e-12, then inverse iteration
     and a Rayleigh quotient, keeping the bisection midpoint when the quotient
-    moves by more than 1e-6.  The frozen reference for that function."""
-    diag, off, mass = _assemble_path(cell)
-    diag, mass, off = diag[1:], mass[1:], off[1:]
+    moves by more than 1e-6.  The frozen reference for that function, with
+    one repair: the energy of the edge to the clamped node is k[0] u[0]^2,
+    not the clamped positive part of diag + off, whose rounding noise biased
+    every quotient upward."""
+    cond, mass = _assemble_path(cell)
+    diag = cond + np.append(cond[1:], 0.0)
+    off = -cond[1:]
     Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
 
     def count(lam):
@@ -386,10 +404,7 @@ def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
             except np.linalg.LinAlgError:
                 shift = lam * (1.0 - 1e-10 * (attempt + 1))
         bulk = float(np.sum(-off * (u[:-1] - u[1:]) ** 2))
-        residual_diag = diag.copy()
-        residual_diag[:-1] += off
-        residual_diag[1:] += off
-        edge = float(np.sum(np.maximum(residual_diag, 0.0) * u * u))
+        edge = cond[0] * u[0] ** 2
         refined = (bulk + edge) / float(np.sum(mass * u * u))
         if not math.isfinite(refined) or abs(refined - lam) > 1e-6 * (abs(lam) + 1e-300):
             return lam

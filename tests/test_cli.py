@@ -220,6 +220,22 @@ BAD_CONFIGS = [
 ]
 
 
+# integer fields past their bound: the limit itself passes validation (the
+# pipeline is never run here, a theta_grid of 1e20 would not finish)
+OVERSIZED = [("count", 10**6), ("resolution", 10**6), ("num_eigs", 10**6), ("num_bands", 10**6),
+             ("theta_grid", 1000), ("base_resolution", 1000)]
+
+
+@pytest.mark.parametrize("field, limit", OVERSIZED)
+def test_oversized_integer_names_field(tmp_path, field, limit):
+    overrides = {"command": "bands", "out": str(tmp_path)}
+    assert getattr(load_config(None, {**overrides, field: limit}), field) == limit
+    for value in (limit + 1, 10**20):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {**overrides, field: value})
+        assert err.value.field == field
+
+
 @pytest.mark.parametrize("field, config", BAD_CONFIGS)
 def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
     cfg_path = tmp_path / "cfg.json"
@@ -232,7 +248,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
     assert doc["status"] == "error"
 
 
-# non-finite reals or a sample count past MAX_COUNT given on the command
+# non-finite reals or an integer past MAX_COUNT given on the command
 # line, and models whose roots leave the float range: exit 2 with
 # <command>_error.json, no traceback
 BAD_ARGS = [
@@ -242,6 +258,8 @@ BAD_ARGS = [
     pytest.param("sigma", ["dispersion", "--sigma", "inf"], id="sigma-inf"),
     pytest.param("rho", ["dispersion", "--sigma", "1", "--rho", "nan"], id="rho-nan"),
     pytest.param("count", ["dispersion", "--sigma", "1,2", "--count", "100000000000000000000"], id="count-huge"),
+    pytest.param("resolution", ["cell-eigs", "--intervals", "1,2", "--resolution", "100000000000000000000"],
+                 id="resolution-huge"),
     pytest.param(None, ["dispersion", "--sigma", "1e300", "--rho", "1e300"], id="sigma-rho-overflow"),
     pytest.param(None, ["dispersion", "--sigma", "1e308", "--rho", "1.5"], id="root-overflow"),
     # the default horizon, 10 mu_m or 10 beta_m, overflows
