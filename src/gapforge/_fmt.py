@@ -51,20 +51,19 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
             return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
         items = ",\n".join(pad + "  " + dumps_json(v, indent + 2) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    # numpy scalars and similar
+    # numpy scalars, such as a numpy.bool check result
     if hasattr(obj, "item"):
         return dumps_json(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[str]:
+    """Header plus one line per row of Python scalars: bools as 1/0."""
     def cell(v: Any) -> str:
         if isinstance(v, bool):
             return "1" if v else "0"
         if isinstance(v, float):
             return fmt_real(v)
-        if hasattr(v, "item") and not isinstance(v, (str, int)):
-            return cell(v.item())
         return str(v)
 
     lines = [",".join(header)]

@@ -8,7 +8,7 @@ Hermitian pencil; Neumann (faces free) and Dirichlet (faces clamped)
 spectra enclose every theta spectrum, which is checked, not assumed.
 
 The builder is 2-D; the theta eigensolver works for any number of paired
-directions.
+directions.  Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from ._fmt import csv_lines
 from .errors import GapForgeError, GeometryError, ResolutionError
 from .intervals import IntervalSet, complement_on
 
@@ -397,16 +396,6 @@ class BandStructure:
     theta_points: tuple[tuple[complex, ...], ...]
     eigen_table: np.ndarray  # (num theta, K)
     bands: tuple[tuple[float, float], ...]
-
-    def to_csv_lines(self) -> list[str]:
-        ndim = len(self.theta_points[0])
-        header = ["theta_index"] + [f"theta_{d + 1}" for d in range(ndim)] + ["k", "lambda"]
-        rows = []
-        for ti, (point, lams) in enumerate(zip(self.theta_points, self.eigen_table)):
-            args = [math.atan2(c.imag, c.real) for c in point]
-            for kk, lam in enumerate(lams, start=1):
-                rows.append([ti, *args, kk, float(lam)])
-        return csv_lines(header, rows)
 
 
 def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> BandStructure:

@@ -17,6 +17,7 @@ higher entries are the *zonal* spectrum only.
 
 Its eigenvalues take one path: dstebz predicts, two Sturm counts certify,
 and ``dispersion``'s bracketer bisects the rest (46-53 counts each at n = 2).
+Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
@@ -440,20 +441,26 @@ def _refine_eigenvalue(
     Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2, u_{-1} = 0
     at the clamped node.  Both sums have only nonnegative terms, so the
     quotient is relatively accurate even though the pencil entries span many
-    orders of magnitude.  None when the shifted pencil is singular or the
-    result leaves REFINE_WINDOW."""
+    orders of magnitude.  A shifted pencil that is exactly singular (as at
+    some dstebz predictions) is shifted one ulp up and solved once more.
+    None when that is singular too or the result leaves REFINE_WINDOW."""
     n = len(diag)
     ab = np.zeros((3, n))
     rng = np.random.default_rng(0x5EED + seed)
-    u = rng.standard_normal(n)
-    u /= math.sqrt(float(np.sum(mass * u * u)))
+    start = rng.standard_normal(n)
+    start /= math.sqrt(float(np.sum(mass * start * start)))
     ab[0, 1:] = ab[2, :-1] = off
-    ab[1, :] = diag - lam * mass
-    try:
-        for _ in range(2):
-            u = solve_banded((1, 1), ab, mass * u)
-            u /= math.sqrt(float(np.sum(mass * u * u)))
-    except np.linalg.LinAlgError:
+    for shift in (lam, math.nextafter(lam, math.inf)):
+        ab[1, :] = diag - shift * mass
+        u = start
+        try:
+            for _ in range(2):
+                u = solve_banded((1, 1), ab, mass * u)
+                u /= math.sqrt(float(np.sum(mass * u * u)))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
         return None
     refined = float(np.sum(k * np.diff(u, prepend=0.0) ** 2)) / float(np.sum(mass * u * u))
     if not math.isfinite(refined) or abs(refined - lam) > REFINE_WINDOW * (abs(lam) + 1e-300):
@@ -591,18 +598,6 @@ class ConvergenceRow:
     mesh_gauge: float  # |lambda1(2N) - lambda1(N)|; not written to the CSV
 
 
-CONVERGENCE_CSV_HEADER = [
-    "eps",
-    "lambda1",
-    "lambda2",
-    "rayleigh_upper",
-    "eps2_lambda2",
-    "sigma_target",
-    "Lj_lambda2",
-    "resolution",
-]
-
-
 def convergence_table(
     base: BubbleGeometry,
     j: int,
@@ -646,24 +641,3 @@ def convergence_table(
             )
         )
     return rows
-
-
-def convergence_rows_csv(rows: Sequence[ConvergenceRow]) -> list[str]:
-    from ._fmt import csv_lines
-
-    return csv_lines(
-        CONVERGENCE_CSV_HEADER,
-        [
-            (
-                r.eps,
-                r.lambda1,
-                r.lambda2,
-                r.rayleigh_upper,
-                r.eps2_lambda2,
-                r.sigma_target,
-                r.Lj_lambda2,
-                r.resolution,
-            )
-            for r in rows
-        ],
-    )

@@ -1,5 +1,5 @@
-"""Command-line pipeline: configuration ingestion, orchestration and
-plot-data emission.
+"""Command-line pipeline: configuration ingestion, orchestration and the
+layout of every artifact (each JSON payload, each CSV header and row).
 
 Exit status: 0 all enabled checks pass, 1 checks ran and failed,
 2 configuration or runtime error.  Outputs are JSON (reports) and CSV
@@ -16,13 +16,12 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from ._fmt import dumps_json
+from ._fmt import csv_lines, dumps_json
 from .bands import BandStructure, GridSpec, band_structure, build_cell_graph, detect_gaps
 from .cell import (
     build_radial_cell,
-    convergence_rows_csv,
     convergence_table,
     eps_scale,
     junction_flux,
@@ -199,10 +198,12 @@ def _model_from_config(cfg: RunConfig) -> HomogenizedModel:
 def _write(cfg: RunConfig, name: str, text: str) -> str:
     path = os.path.join(cfg.out, name)
     with open(path, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        fh.write(text + "\n")
     return path
+
+
+def _write_csv(cfg: RunConfig, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    return _write(cfg, name, "\n".join(csv_lines(header, rows)))
 
 
 @dataclass
@@ -248,8 +249,8 @@ def _run_dispersion(cfg: RunConfig) -> Report:
     model = _model_from_config(cfg)
     mu = mu_roots(model)
     rng = cfg.range or [0.0, 1.5 * mu[-1] if mu else 10.0]
-    curve = sample_curve(model, (float(rng[0]), float(rng[1])), cfg.count)
-    path = _write(cfg, "dispersion.csv", "\n".join(curve.to_csv_lines()))
+    samples = sample_curve(model, (float(rng[0]), float(rng[1])), cfg.count)
+    path = _write_csv(cfg, "dispersion.csv", ["lambda", "value", "pole_adjacent"], samples)
     return Report("pass", [{"name": "dispersion", "pass": True}], [path])
 
 
@@ -299,7 +300,9 @@ def _run_convergence(cfg: RunConfig) -> Report:
     spec = _spec_from_config(cfg)
     geom_base, _ = design_geometry(spec, cfg.kappa)
     rows = convergence_table(geom_base, _channel(cfg, spec.m), cfg.eps_list, cfg.resolution)
-    path = _write(cfg, "convergence.csv", "\n".join(convergence_rows_csv(rows)))
+    header = ["eps", "lambda1", "lambda2", "rayleigh_upper", "eps2_lambda2", "sigma_target",
+              "Lj_lambda2", "resolution"]
+    path = _write_csv(cfg, "convergence.csv", header, ([getattr(r, name) for name in header] for r in rows))
     return Report("pass", [{"name": "convergence", "pass": True}], [path])
 
 
@@ -316,7 +319,12 @@ def _run_bands(cfg: RunConfig) -> Report:
     bs = _band_structure(cfg)
     L = cfg.L if cfg.L is not None else bs.bands[-1][1]
     gaps = detect_gaps(bs, L)
-    csv_path = _write(cfg, "bands.csv", "\n".join(bs.to_csv_lines()))
+    header = ["theta_index", *(f"theta_{d + 1}" for d in range(len(bs.theta_points[0]))), "k", "lambda"]
+    rows = []
+    for ti, (point, lams) in enumerate(zip(bs.theta_points, bs.eigen_table.tolist())):
+        args = [math.atan2(c.imag, c.real) for c in point]
+        rows.extend([ti, *args, kk, lam] for kk, lam in enumerate(lams, start=1))
+    csv_path = _write_csv(cfg, "bands.csv", header, rows)
     payload = {
         "bands": [list(b) for b in bs.bands],
         "gaps": gaps.to_json(),

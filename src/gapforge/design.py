@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, ScaleError
 from .intervals import GapSpec
 
 # Relative tolerance below which two channel resonances count as equal.
@@ -25,7 +25,10 @@ def sphere_measure(k: int) -> float:
     if int(k) != k or k < 1:
         raise GeometryError(f"sphere dimension k={k} must be an integer >= 1")
     k = int(k)
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    except OverflowError:
+        raise ScaleError(f"the unit {k}-sphere volume leaves the float range; lower the dimension")
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,16 @@ sign across it (``bracket``), and bisected to ROOT_RTOL (``bisect``): 7.1
 F-evaluations per root on the 14,880 roots of the test corpus, and 80 for
 poles 2^996 apart (mu_1 = 1.9999999999999991 for targets (1, 2),
 (1e300, 2e300)).  The radial eigenvalues of ``cell`` use the same two.
+Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._fmt import csv_lines
 from .errors import GapForgeError, PoleError, ScaleError
 from .design import HomogenizedModel
 from .intervals import IntervalSet
@@ -173,24 +172,14 @@ def limit_spectrum(model: HomogenizedModel, L: float) -> tuple[IntervalSet, Inte
     return bands, gaps
 
 
-@dataclass(frozen=True)
-class DispersionCurve:
-    """Plot-ready samples of lambda -> lambda F(lambda); samples within
-    POLE_FLAG_ATOL of a pole are flagged and carry value NaN."""
-
-    samples: tuple[tuple[float, float, bool], ...]
-
-    def to_csv_lines(self) -> list[str]:
-        return csv_lines(
-            ["lambda", "value", "pole_adjacent"],
-            [(lam, val, flag) for lam, val, flag in self.samples],
-        )
-
-
-def sample_curve(model: HomogenizedModel, rng: tuple[float, float], count: int) -> DispersionCurve:
-    """Uniform grid over ``rng`` with pole-adjacent points flagged.  The
-    values are those of ``dispersion_eval`` bit for bit: the terms of F are
-    added in the same order, only over the whole grid at once."""
+def sample_curve(
+    model: HomogenizedModel, rng: tuple[float, float], count: int
+) -> tuple[tuple[float, float, bool], ...]:
+    """Plot-ready samples (lambda, lambda F(lambda), pole_adjacent) on a
+    uniform grid over ``rng``; samples within POLE_FLAG_ATOL of a pole are
+    flagged and carry value NaN.  The values are those of ``dispersion_eval``
+    bit for bit: the terms of F are added in the same order, only over the
+    whole grid at once."""
     if count < 2:
         raise GapForgeError(f"count={count} must be >= 2")
     lo, hi = float(rng[0]), float(rng[1])
@@ -214,4 +203,4 @@ def sample_curve(model: HomogenizedModel, rng: tuple[float, float], count: int) 
             total += s * r / (s - lam)
         values = np.full(count, math.nan)
         values[~near_pole] = lam * total
-    return DispersionCurve(tuple(zip(grid.tolist(), values.tolist(), near_pole.tolist())))
+    return tuple(zip(grid.tolist(), values.tolist(), near_pole.tolist()))

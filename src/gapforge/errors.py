@@ -35,7 +35,8 @@ class PoleError(GapForgeError):
 
 class ScaleError(GapForgeError):
     """A scale leaves the floating-point range: a scaled radius or mesh
-    spacing underflows (advise larger eps) or a root bracket overflows."""
+    spacing underflows (advise larger eps), a root bracket overflows or a
+    sphere volume's Gamma factor overflows (dimension too high)."""
 
 
 class ResolutionError(GapForgeError):

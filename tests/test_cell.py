@@ -9,7 +9,6 @@ from gapforge.cell import (
     RadialCell,
     angular_integral_F,
     build_radial_cell,
-    convergence_rows_csv,
     convergence_table,
     cutoff_profile,
     disk_cell,
@@ -416,16 +415,16 @@ class TestRadialEngine:
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_singular_refinement_is_bisected(self, monkeypatch):
-        # the first solve of every eigenvalue is singular, as at a prediction
-        # that is an exact eigenvalue of the shifted pencil: the refinement of
-        # the prediction fails, that of the bisection midpoint (two solves)
-        # does not
+        # the first solve at the prediction and the first one ulp above it
+        # are singular, as at a prediction that is an exact eigenvalue of
+        # both shifted pencils: the refinement of the prediction fails, that
+        # of the bisection midpoint (two solves) does not
         real_solve = cell_module.solve_banded
         calls = []
 
         def singular_first(*args):
             calls.append(None)
-            if len(calls) % 3 == 1:
+            if len(calls) % 4 in (1, 2):
                 raise np.linalg.LinAlgError("singular matrix")
             return real_solve(*args)
 
@@ -433,7 +432,7 @@ class TestRadialEngine:
         for cell, k in ((designed_cell(0.05, 128), 3), (disk_cell(2, 0.25, 1024), 2)):
             calls.clear()
             got = radial_eigenvalues(cell, k)
-            assert len(calls) == 3 * k
+            assert len(calls) == 4 * k
             ref = reference_radial_eigenvalues(cell, k)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
@@ -443,6 +442,17 @@ class TestRadialEngine:
             counts.clear()
             lam = radial_eigenvalues(designed_cell(0.05, resolution), 2)
             assert len(counts) <= 2 * len(lam)
+
+    def test_singular_prediction_is_refined_one_ulp_up(self, monkeypatch):
+        # K - rM is exactly singular at one dstebz prediction of this cell;
+        # refining at the next float up keeps the two-count certificate,
+        # where a bracket and bisection took 125 counts for the 40 values
+        counts = count_sturm_passes(monkeypatch)
+        cell = designed_cell(0.025, 128)
+        got = radial_eigenvalues(cell, 40)
+        assert len(counts) <= 2 * 40
+        ref = reference_radial_eigenvalues(cell, 40)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_certified_window_encloses_each_eigenvalue(self):
         cell = designed_cell(0.05, 384)
@@ -501,10 +511,3 @@ class TestConvergenceTable:
         base, _ = designed_geometry()
         with pytest.raises(GeometryError):
             convergence_table(base, 0, [0.1, 0.2], resolution=128)
-
-    def test_csv_header(self):
-        base, _ = designed_geometry()
-        rows = convergence_table(base, 0, [0.2], resolution=128)
-        lines = convergence_rows_csv(rows)
-        assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
-        assert len(lines) == 2

@@ -77,6 +77,9 @@ class TestCommands:
         assert code == 0
         lines = read(tmp_path / "dispersion.csv").strip().splitlines()
         assert lines[0] == "lambda,value,pole_adjacent"
+        assert len(lines) == 1 + 31
+        # the sample on the pole is flagged, and its value spelled NaN
+        assert [line for line in lines[1:] if not line.endswith(",0")] == ["1,NaN,1"]
         negatives = []
         for line in lines[1:]:
             lam, val, flag = line.split(",")
@@ -138,7 +141,7 @@ class TestCommands:
         ])
         assert code == 0
         lines = read(tmp_path / "convergence.csv").strip().splitlines()
-        assert lines[0].startswith("eps,lambda1,lambda2,rayleigh_upper")
+        assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
         assert len(lines) == 3
 
     def test_bands_demo(self, tmp_path):
@@ -266,6 +269,11 @@ BAD_ARGS = [
     pytest.param(None, ["limit-spectrum", "--sigma", "2e299", "--rho", "1e8"], id="horizon-overflow-sigma"),
     pytest.param(None, ["limit-spectrum", "--intervals", "1,2;3,2e307"], id="horizon-overflow-intervals"),
     pytest.param(None, ["verify", "--intervals", "1,2;3,2e307"], id="verify-horizon-overflow"),
+    # the unit sphere volumes of dimension 343 and up leave the float range
+    pytest.param(None, ["design", "--intervals", "1,2", "--dim", "400"], id="dim-400-design"),
+    pytest.param(None, ["limit-spectrum", "--intervals", "1,2", "--dim", "400"], id="dim-400-limit-spectrum"),
+    pytest.param(None, ["verify", "--intervals", "1,2", "--dim", "400"], id="dim-400-verify"),
+    pytest.param(None, ["cell-eigs", "--intervals", "1,2", "--dim", "400"], id="dim-400-cell-eigs"),
 ]
 
 

@@ -349,26 +349,26 @@ class TestMonotonicity:
 
 class TestSampleCurve:
     def test_grid_and_pole_flag(self):
-        curve = sample_curve(unit_model(), (0.0, 3.0), 7)
-        assert len(curve.samples) == 7
-        lams = [s[0] for s in curve.samples]
+        samples = sample_curve(unit_model(), (0.0, 3.0), 7)
+        assert len(samples) == 7
+        lams = [s[0] for s in samples]
         assert lams == pytest.approx(list(np.linspace(0, 3, 7)))
-        flagged = [s for s in curve.samples if s[2]]
+        flagged = [s for s in samples if s[2]]
         assert len(flagged) == 1 and flagged[0][0] == 1.0
         assert math.isnan(flagged[0][1])
 
     def test_values_match_dispersion_eval(self):
         model = unit_model()
-        curve = sample_curve(model, (0.0, 3.0), 13)
-        for lam, val, flag in curve.samples:
+        samples = sample_curve(model, (0.0, 3.0), 13)
+        for lam, val, flag in samples:
             if not flag:
                 assert val == dispersion_eval(model, lam)
 
     def test_sign_pattern_matches_gap(self):
         model = unit_model()
-        curve = sample_curve(model, (0.0, 3.0), 301)
+        samples = sample_curve(model, (0.0, 3.0), 301)
         bands, gaps = limit_spectrum(model, 10.0)
-        for lam, val, flag in curve.samples:
+        for lam, val, flag in samples:
             if flag or lam in (0.0,):
                 continue
             edge_tol = 1e-9
@@ -378,12 +378,6 @@ class TestSampleCurve:
             elif lam < 3.0 - 1e-9:
                 assert val >= 0
 
-    def test_csv_lines(self):
-        lines = sample_curve(unit_model(), (0.0, 3.0), 4).to_csv_lines()
-        assert lines[0] == "lambda,value,pole_adjacent"
-        assert len(lines) == 5
-        assert lines[1].split(",")[2] == "0"
-
     def test_bit_equal_to_scalar_eval_across_poles(self):
         rng = np.random.default_rng(71)
         for m in range(1, 7):
@@ -392,9 +386,9 @@ class TestSampleCurve:
                 top = 1.5 * mu_roots(model)[-1]
                 # the first grid also puts samples on the poles' flag zones
                 for rng_ in ((0.0, top), (0.5 * model.sigma[0], float(rng.uniform(1.01, 2.0)) * top)):
-                    curve = sample_curve(model, rng_, 257)
-                    assert [s[0] for s in curve.samples] == np.linspace(*rng_, 257).tolist()
-                    for lam, val, flag in curve.samples:
+                    samples = sample_curve(model, rng_, 257)
+                    assert [s[0] for s in samples] == np.linspace(*rng_, 257).tolist()
+                    for lam, val, flag in samples:
                         assert flag == any(abs(lam - s) < POLE_FLAG_ATOL for s in model.sigma)
                         if flag:
                             assert math.isnan(val)
