@@ -6,6 +6,8 @@ local Riemannian areas and edge weights finite-volume conductances.  Bloch
 conditions u(b) = conj(theta_dir) u(a) fold the paired faces into a
 Hermitian pencil; Neumann (faces free) and Dirichlet (faces clamped)
 spectra enclose every theta spectrum, which is checked, not assumed.
+The band sweep solves one character per orbit of conjugation and of the
+square symmetries that the builder proposes and the graph verifies.
 
 The builder is 2-D; the theta eigensolver works for any number of paired
 directions.  Results are numbers; ``cli`` lays them out as artifacts.
@@ -32,6 +34,11 @@ ENCLOSURE_SLACK = 1e-8
 _EIGSH_SEED = 0x0BADC0DE
 _CERTIFY_GAP = 1e-9  # relative distance below lambda_k of the inertia count
 _MAX_DEFLATIONS = 3
+# relative mass and weight mismatch a verified cell symmetry may carry; it
+# moves eigenvalues by about twice as much (see band_structure)
+SYMMETRY_RTOL = 1e-12
+# rings x ring vertices of one bubble (the value of cli.MAX_COUNT)
+MAX_BUBBLE_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,13 +52,18 @@ class GridSpec:
 @dataclass
 class PeriodCellGraph:
     """Weighted graph with positive lumped masses, positive edge weights
-    and per-direction bijections between opposite-face vertices."""
+    and per-direction bijections between opposite-face vertices.
+
+    ``symmetry_candidates`` are vertex permutations (v -> perm[v]) that may
+    be symmetries of the graph; ``band_structure`` uses only those that
+    ``character_map`` verifies."""
 
     masses: np.ndarray
     edges: np.ndarray  # (ne, 2) vertex ids
     weights: np.ndarray
     boundary_pairs: tuple[tuple[int, int, int], ...]  # (a, b, direction 1..ndim)
     ndim: int
+    symmetry_candidates: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     _fold: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -99,6 +111,51 @@ class PeriodCellGraph:
             raise GeometryError("inconsistent boundary identifications")
         self._fold = (comp, shift, int(n_comp))
         return self._fold
+
+
+def _close(x: np.ndarray, y: np.ndarray) -> bool:
+    return bool(np.all(np.abs(x - y) <= SYMMETRY_RTOL * np.abs(y)))
+
+
+def character_map(graph: PeriodCellGraph, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(target direction, sign) per direction if the vertex permutation
+    ``perm`` is a symmetry of ``graph``, else None.
+
+    A symmetry is a bijection that keeps every mass and edge weight to
+    SYMMETRY_RTOL relative and sends the boundary pairs of each direction
+    d onto those of one direction d', all as (perm a, perm b, d') or all as
+    (perm b, perm a, d').  A theta-periodic u then gives the theta'-periodic
+    u o perm^-1 with theta'_{d'} = theta_d (sign +1) or conj theta_d
+    (sign -1); directions are 0-based.
+    """
+    nv = graph.nv
+    if not np.array_equal(np.sort(perm), np.arange(nv)) or not _close(graph.masses[perm], graph.masses):
+        return None
+    a, b = graph.edges[:, 0], graph.edges[:, 1]
+    key = np.minimum(a, b) * nv + np.maximum(a, b)
+    moved = np.minimum(perm[a], perm[b]) * nv + np.maximum(perm[a], perm[b])
+    order, moved_order = np.argsort(key), np.argsort(moved)
+    if np.any(np.diff(key[order]) == 0) or not np.array_equal(key[order], moved[moved_order]):
+        return None
+    if not _close(graph.weights[moved_order], graph.weights[order]):
+        return None
+    direction = {(va, vb): d for va, vb, d in graph.boundary_pairs}
+    image: dict[int, tuple[int, int]] = {}
+    for va, vb, d in graph.boundary_pairs:
+        pa, pb = int(perm[va]), int(perm[vb])
+        if (pa, pb) in direction:
+            got = (direction[pa, pb], 1)
+        elif (pb, pa) in direction:
+            got = (direction[pb, pa], -1)
+        else:
+            return None
+        if image.setdefault(d, got) != got:
+            return None
+    dirs = list(range(1, graph.ndim + 1))
+    if sorted(image) != dirs or sorted(image[d][0] for d in dirs) != dirs:
+        return None
+    target, sign = np.array([image[d] for d in dirs]).T
+    return target - 1, sign
 
 
 def build_cell_graph(
@@ -159,8 +216,18 @@ def build_cell_graph(
                 edges.append((a, idx[i, j + 1]))
                 weights.append(0.5 if i in (0, N) else 1.0)
 
-    for cx, cy, r, b in holes:
-        _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b)
+    rings = [_hole_ring(idx, N, h, cx, cy, r) for cx, cy, r, _ in holes]
+    counts = [max(8, round((math.pi - math.asin(r / b)) * b / h)) for _, _, r, b in holes]
+    for k, ((ring, _), P) in enumerate(zip(rings, counts)):
+        if P * len(ring) > MAX_BUBBLE_VERTICES:
+            raise ResolutionError(
+                f"hole {k}: bubble radius {holes[k][3]} needs {P} rings of {len(ring)} vertices,"
+                f" more than {MAX_BUBBLE_VERTICES}"
+            )
+    bubbles = [
+        _glue_bubble(masses, edges, weights, ring, phis, P, r, b)
+        for (ring, phis), P, (_, _, r, b) in zip(rings, counts, holes)
+    ]
 
     pairs: list[tuple[int, int, int]] = []
     for j in range(N + 1):
@@ -174,16 +241,47 @@ def build_cell_graph(
         weights=np.asarray(weights),
         boundary_pairs=tuple(pairs),
         ndim=2,
+        symmetry_candidates=_square_symmetry_candidates(idx, bubbles, len(masses)),
     )
     graph.validate()
     return graph
 
 
-def _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b):
-    """Latitude-longitude graph on the truncated sphere of radius b,
-    identified ring-to-ring with the hole-boundary vertices of the square
-    grid (angular matching); masses are exact cell areas on the sphere."""
-    # hole-boundary ring: alive square vertices that lost a neighbour
+def _square_symmetry_candidates(idx: np.ndarray, bubbles, nv: int) -> tuple[np.ndarray, ...]:
+    """Vertex permutations for the 7 non-trivial symmetries g of the square,
+    (i, j) -> g(i, j), under which the live grid vertices are invariant.
+    Bubble vertex (hole k, ring p, position q) goes to (k', p, q'), where
+    g takes hole k's boundary ring onto hole k''s and its position q to q'.
+    Each is only a candidate: ``character_map`` verifies it."""
+    N = idx.shape[0] - 1
+    I, J = np.indices(idx.shape)
+    alive = idx >= 0
+    positions = [{v: q for q, v in enumerate(ring_ids[0].tolist())} for ring_ids, _ in bubbles]
+    candidates = []
+    for swap, flip_i, flip_j in list(product((False, True), repeat=3))[1:]:
+        gi, gj = (J, I) if swap else (I, J)
+        image = idx[N - gi if flip_i else gi, N - gj if flip_j else gj]
+        if not np.array_equal(image >= 0, alive):
+            continue
+        perm = np.full(nv, -1)
+        perm[idx[alive]] = image[alive]
+        for ring_ids, pole in bubbles:
+            landed = perm[ring_ids[0]].tolist()
+            for (ring2, pole2), position in zip(bubbles, positions):
+                if ring2.shape == ring_ids.shape and all(v in position for v in landed):
+                    perm[ring_ids[1:]] = ring2[1:, [position[v] for v in landed]]
+                    perm[pole] = pole2
+                    break
+            else:
+                break
+        else:
+            candidates.append(perm)
+    return tuple(candidates)
+
+
+def _hole_ring(idx, N, h, cx, cy, r) -> tuple[list[int], np.ndarray]:
+    """Live square vertices that lost a neighbour to the hole, by angle
+    about its centre, and those angles."""
     ring: list[int] = []
     phis: list[float] = []
     for i in range(N + 1):
@@ -204,8 +302,15 @@ def _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b):
     if len(ring) < 4:
         raise ResolutionError("hole boundary ring has fewer than 4 vertices")
     order = np.argsort(phis)
-    ring = [ring[k] for k in order]
-    phis = np.asarray(phis)[order]
+    return [ring[k] for k in order], np.asarray(phis)[order]
+
+
+def _glue_bubble(masses, edges, weights, ring, phis, P, r, b) -> tuple[np.ndarray, int]:
+    """Latitude-longitude graph on the truncated sphere of radius b with P
+    rings, identified ring-to-ring with the hole-boundary ``ring`` of the
+    square grid (angular matching); masses are exact cell areas on the
+    sphere.  Returns the (P, Q) vertex ids of the rings, ring 0 being
+    ``ring``, and the pole's id."""
     Q = len(ring)
     # azimuthal cell widths (non-uniform ring spacing on the square grid)
     dphi = np.empty(Q)
@@ -216,7 +321,6 @@ def _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b):
     gap = np.diff(np.concatenate([phis, [phis[0] + 2 * math.pi]]))
 
     theta0 = math.asin(r / b)
-    P = max(8, round((math.pi - theta0) * b / h))
     dth = (math.pi - theta0) / P
     angles = [theta0 + p * dth for p in range(P + 1)]
 
@@ -251,6 +355,7 @@ def _glue_bubble(masses, edges, weights, idx, N, h, cx, cy, r, b):
         for q in range(Q):
             edges.append((ring_ids[p][q], ring_ids[p][(q + 1) % Q]))
             weights.append(dth / (s * gap[q]))
+    return np.asarray(ring_ids), pole
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +503,54 @@ class BandStructure:
     bands: tuple[tuple[float, float], ...]
 
 
+def character_orbits(graph: PeriodCellGraph, resolution: int) -> np.ndarray:
+    """For each point of ``theta_grid(resolution, graph.ndim)``, the smallest
+    grid index in its orbit under conjugation and the graph's verified
+    symmetries (``character_map`` of each candidate), and so under every
+    composition of them."""
+    shape = (resolution,) * graph.ndim
+    p = np.indices(shape).reshape(graph.ndim, -1)  # theta_grid order
+    n = p.shape[1]
+    images = [np.ravel_multi_index(-p % resolution, shape)]
+    for perm in graph.symmetry_candidates:
+        verified = character_map(graph, perm)
+        if verified is not None:
+            target, sign = verified
+            q = np.empty_like(p)
+            q[target] = sign[:, None] * p % resolution
+            images.append(np.ravel_multi_index(q, shape))
+    links = sp.coo_matrix(
+        (np.ones(n * len(images)), (np.tile(np.arange(n), len(images)), np.concatenate(images))), shape=(n, n)
+    )
+    labels = connected_components(links, directed=False)[1]
+    return np.unique(labels, return_index=True)[1][labels]
+
+
 def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> BandStructure:
     """Sweep the character grid; band k is [min_theta, max_theta] of the
     k-th eigenvalue.  Sampled bands only widen under grid refinement, so
     the detected gaps are conservative.
 
-    Real edge weights give K(conj theta) = conj K(theta), so the two
-    characters share a spectrum: only one of each pair {theta, conj theta}
-    is solved, and its row is copied to the other.
+    Only one character per orbit (``character_orbits``) is solved, the one
+    with the smallest grid index, and its row is copied to the rest of the
+    orbit.  Real edge weights give K(conj theta) = conj K(theta), so theta
+    and conj theta share a spectrum.  A verified symmetry maps the
+    theta-periodic functions onto the theta'-periodic ones and keeps every
+    mass and weight to a relative e <= SYMMETRY_RTOL.  Every term of the
+    folded forms sum w |u_a - phi u_b|^2 and sum m |u|^2 is non-negative,
+    so each form moves by a factor in [1 - e, 1 + e], and by min-max each
+    eigenvalue by a factor of at most (1 + e) / (1 - e), about 2e-12 per
+    map.  A copy reached through j maps moves by at most j times that, and
+    an orbit on the square has at most 8 characters: far inside
+    _CERTIFY_GAP, so the inertia certificate of the solved row covers the
+    copies.  The demo cell is symmetric to 4.4e-16 (masses) and 1.2e-15
+    (weights), the rounding of its ring angles.
     """
     points = theta_grid(theta_resolution, graph.ndim)
-    where = {point: i for i, point in enumerate(points)}  # the grid is closed under conj
+    orbit = character_orbits(graph, theta_resolution)
     table: list[np.ndarray] = []
     for i, point in enumerate(points):
-        j = where[tuple(c.conjugate() for c in point)]
-        table.append(table[j] if j < i else theta_spectrum(graph, point, K))
+        table.append(table[orbit[i]] if orbit[i] < i else theta_spectrum(graph, point, K))
     eigen_table = np.vstack(table)
     bands = tuple(
         (float(eigen_table[:, kk].min()), float(eigen_table[:, kk].max())) for kk in range(K)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from gapforge.bands import (
     PeriodCellGraph,
     band_structure,
     build_cell_graph,
+    character_map,
+    character_orbits,
     detect_gaps,
     dirichlet_spectrum,
     folded_matrices,
@@ -154,6 +157,112 @@ class TestTimeReversalReuse:
                 assert roots[res // 2] == -1.0
 
 
+def counted_sweep(monkeypatch, graph, res):
+    """Characters band_structure solves, with a stub in place of the
+    eigensolver."""
+    solved = []
+
+    def stub(graph, theta, k):
+        solved.append(theta)
+        return np.arange(1.0, k + 1.0)
+
+    monkeypatch.setattr(bands, "theta_spectrum", stub)
+    band_structure(graph, theta_resolution=res, K=3)
+    return len(solved)
+
+
+TWO_HOLES = [(0.27, 0.5, 0.19, 0.22), (0.73, 0.5, 0.19, 0.30)]
+
+
+class TestSquareSymmetry:
+    CELLS = {
+        "centred": ([(0.5, 0.5, 0.1, 0.3)], 32),
+        "diagonal": ([(0.4, 0.4, 0.1, 0.3)], 32),
+        "x_offset": ([(0.27, 0.5, 0.19, 0.22)], 16),
+        "two_holes": (TWO_HOLES, 16),
+        "holeless": ([], 16),
+    }
+
+    @staticmethod
+    def cell(name):
+        holes, N = TestSquareSymmetry.CELLS[name]
+        return build_cell_graph(holes=holes, cell_size=1.0, grid=GridSpec(N))
+
+    @pytest.mark.parametrize(
+        "name, res, solves",
+        [
+            ("centred", 4, 6),  # the whole square group
+            ("diagonal", 4, 7),  # the diagonal reflection only
+            ("diagonal", 16, 73),
+            ("x_offset", 4, 9),  # the y-reflection only
+            ("two_holes", 4, 9),  # unequal bubbles: the y-reflection only
+            ("holeless", 4, 6),
+        ],
+    )
+    def test_one_solve_per_orbit(self, monkeypatch, name, res, solves):
+        assert counted_sweep(monkeypatch, self.cell(name), res) == solves
+
+    def test_ring_shared_by_two_holes(self):
+        # the grid vertex at x = 0.5 borders both holes: the ring
+        # correspondence must be kept per hole, not per grid vertex
+        N = 16
+        idx = -np.ones((N + 1, N + 1), dtype=int)
+        live = [(i, j) for i in range(N + 1) for j in range(N + 1)
+                if all(math.hypot(i / N - cx, j / N - cy) >= r for cx, cy, r, _ in TWO_HOLES)]
+        for v, (i, j) in enumerate(live):
+            idx[i, j] = v
+        rings = [bands._hole_ring(idx, N, 1.0 / N, cx, cy, r)[0] for cx, cy, r, _ in TWO_HOLES]
+        assert set(rings[0]) & set(rings[1])
+
+    def test_demo_cell_counts(self, monkeypatch, demo_graph):
+        assert counted_sweep(monkeypatch, demo_graph, 16) == 45
+        assert counted_sweep(monkeypatch, demo_graph, 4) == 6
+
+    @pytest.mark.parametrize("name", ["centred", "diagonal", "two_holes"])
+    def test_copied_rows_match_direct_solves(self, name):
+        graph = self.cell(name)
+        bs = band_structure(graph, theta_resolution=4, K=6)
+        copied = character_orbits(graph, 4) != np.arange(16)
+        assert copied.any()
+        for row, point in zip(bs.eigen_table[copied], np.array(bs.theta_points)[copied]):
+            direct = theta_spectrum(graph, tuple(point), 6)
+            assert np.all(np.abs(row - direct) <= 1e-12 * np.abs(direct))
+
+    @pytest.mark.parametrize("broken", ["mass", "weight", "pair"])
+    def test_broken_symmetry_falls_back(self, monkeypatch, small_demo_graph, broken):
+        graph = small_demo_graph
+        perms = graph.symmetry_candidates
+        assert len(perms) == 7 and all(character_map(graph, perm) is not None for perm in perms)
+        if broken == "mass":
+            # a bubble vertex that no symmetry fixes
+            v = next(v for v in range(graph.nv - 1, 0, -1) if all(perm[v] != v for perm in perms))
+            masses = graph.masses.copy()
+            masses[v] *= 1 + 1e-9
+            graph = dataclasses.replace(graph, masses=masses)
+        elif broken == "weight":
+            # a bubble edge that no symmetry maps onto itself
+            e = next(e for e in range(len(graph.edges) - 1, 0, -1)
+                     if all({perm[a] for a in graph.edges[e]} != set(graph.edges[e]) for perm in perms))
+            weights = graph.weights.copy()
+            weights[e] *= 1 + 1e-9
+            graph = dataclasses.replace(graph, weights=weights)
+        else:
+            # pair the x-face rows 1, 2, 3 with rows 2, 3, 1: every
+            # candidate now sends one of them to a non-pair
+            pairs = list(graph.boundary_pairs)
+            assert [pairs[j][2] for j in (1, 2, 3)] == [1, 1, 1]
+            for j, target in ((1, 2), (2, 3), (3, 1)):
+                pairs[j] = (graph.boundary_pairs[j][0], graph.boundary_pairs[target][1], 1)
+            graph = dataclasses.replace(graph, boundary_pairs=tuple(pairs), _fold=None)
+            graph.validate()
+        assert all(character_map(graph, perm) is None for perm in perms)
+        assert counted_sweep(monkeypatch, graph, 4) == 10
+
+    def test_hand_built_graph_has_no_candidates(self):
+        assert cycle_cell().symmetry_candidates == ()
+        assert small_torus_graph(np.random.default_rng(41), n=4).symmetry_candidates == ()
+
+
 class TestDetectGaps:
     def _bs(self, bands):
         return band_structure.__wrapped__ if False else type(
@@ -234,6 +343,11 @@ class TestBuilder:
         for d in (1, 2):
             pairs = [(a, b) for a, b, dd in graph.boundary_pairs if dd == d]
             assert len(pairs) == 33
+
+    def test_oversized_bubble_rejected(self):
+        # about 1e7 rings of 28 vertices: refused before anything is allocated
+        with pytest.raises(ResolutionError, match="hole 1: bubble radius 100000.0"):
+            build_cell_graph(holes=[(0.25, 0.5, 0.1, 0.2), (0.75, 0.5, 0.1, 1e5)], grid=GridSpec(32))
 
     def test_true_n2_scaling_unresolvable(self):
         base = BubbleGeometry(2, ((1.0, 0.3),), kappa=0.5)

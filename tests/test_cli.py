@@ -288,6 +288,22 @@ def test_unrepresentable_value_exits_2(tmp_path, capsys, field, argv):
     assert json.loads(read(out / name))["status"] == "error"
 
 
+# a bubble of radius 1e5 needs about 1e7 rings: refused before it is built
+@pytest.mark.parametrize("b, code", [(1e5, 2), (3.0, 0)])
+def test_bubble_vertex_limit(tmp_path, capsys, b, code):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "bands", "holes": [[0.5, 0.5, 0.1, b]], "base_resolution": 32,
+                                    "theta_grid": 2, "num_bands": 2}))
+    out = tmp_path / "out"
+    assert main(["bands", "--config", str(cfg_path), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: hole 0: bubble radius 100000.0 needs")
+        assert sorted(os.listdir(out)) == ["bands_error.json"]
+        assert json.loads(read(out / "bands_error.json"))["status"] == "error"
+    else:
+        assert sorted(os.listdir(out)) == ["bands.csv", "bands.json"]
+
+
 # models whose poles lie far apart, or whose last root nears the largest float
 WIDE_ARGS = [
     pytest.param(["design", "--intervals", "1,2;1e300,2e300"], "design.json", id="design-1e300"),
