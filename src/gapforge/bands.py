@@ -15,9 +15,12 @@ directions.  Results are numbers; ``cli`` lays them out as artifacts.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -362,6 +365,47 @@ def _glue_bubble(masses, edges, weights, ring, phis, P, r, b) -> tuple[np.ndarra
 # theta spectra
 
 
+def _find_openblas() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS copy bundled in the
+    ``numpy.libs`` and ``scipy.libs`` wheel directories; empty when there is
+    none (MKL, a system BLAS, another platform)."""
+    found = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("lib*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    found.append((get, put))
+                    break
+    return found
+
+
+_OPENBLAS = _find_openblas()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every OpenBLAS copy in ``_OPENBLAS`` to one thread and restore the
+    counts read on entry.  SuperLU's triangular solves and ARPACK's level-2
+    BLAS work on vectors of a few thousand entries, where a second thread
+    only costs, and one thread makes the rounding independent of the
+    caller's thread count."""
+    counts = [get() for get, _ in _OPENBLAS]
+    try:
+        for _, put in _OPENBLAS:
+            put(1)
+        yield
+    finally:
+        for (_, put), n in zip(_OPENBLAS, counts):
+            put(n)
+
+
 def _symmetric_lu(K: sp.csr_matrix, M: np.ndarray, shift: float):
     """SuperLU factor of K - shift M with a symmetric fill-reducing ordering
     and diagonal pivots, so U's diagonal is the D of an LDL^H factorization."""
@@ -382,9 +426,16 @@ def _count_below(K: sp.csr_matrix, M: np.ndarray, shift: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
+@_one_blas_thread()
 def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray:
     """Ascending k smallest eigenvalues of the pencil (K, M) with diagonal
     mass; K drops to real arithmetic when it has no imaginary part.
+
+    Both bundled OpenBLAS copies run on one thread for the whole call and
+    get the caller's counts back afterwards (``_one_blas_thread``).  The
+    setting is process-wide: this is a batch tool with one caller at a
+    time, and a BLAS call made from another thread during a solve runs on
+    one thread too.
 
     Dense ``eigh`` up to DENSE_LIMIT unknowns (and whenever k >= dim - 1).
     Above it, shift-invert Lanczos on the standard-form operator

@@ -5,8 +5,9 @@
 
 rewrites the checked-in golden files; ``tests/test_golden.py`` runs the
 same script into a temporary directory and compares bytes.  The script
-exits 2 unless both BLAS thread variables are 1: band eigenvalues move in
-the 16th-17th digit with the thread count.
+exits 2 unless both BLAS thread variables are 1: the band solver pins only
+the OpenBLAS copies bundled with numpy and scipy, and under any other BLAS
+band eigenvalues move in the 16th-17th digit with the thread count.
 """
 
 from __future__ import annotations

@@ -543,6 +543,66 @@ class TestSparsePath:
         assert np.all(np.abs(lam - ref) <= tol * np.abs(ref))
 
 
+def blas_counts():
+    return [get() for get, _ in bands._OPENBLAS]
+
+
+def set_blas_counts(libs, counts):
+    for (_, put), n in zip(libs, counts):
+        put(n)
+
+
+@pytest.fixture
+def caller_threads():
+    """Every OpenBLAS copy the lookup found runs 2 threads in the test and
+    gets its own count back afterwards; skips when the lookup found none."""
+    if not bands._OPENBLAS:
+        pytest.skip("no bundled OpenBLAS found")
+    saved = blas_counts()
+    set_blas_counts(bands._OPENBLAS, [2] * len(saved))
+    yield [2] * len(saved)
+    set_blas_counts(bands._OPENBLAS, saved)
+
+
+class TestOneBlasThread:
+    THETA = (complex(math.cos(0.4), math.sin(0.4)), -1.0 + 0.0j)
+
+    def test_sparse_solve_runs_on_one_thread(self, monkeypatch, caller_threads):
+        g = small_torus_graph(np.random.default_rng(2718), n=18)
+        assert g.fold_structure()[2] > DENSE_LIMIT
+        seen = []
+        lu = bands._symmetric_lu
+
+        def recording(*args):
+            seen.append(blas_counts())
+            return lu(*args)
+
+        monkeypatch.setattr(bands, "_symmetric_lu", recording)
+        theta_spectrum(g, self.THETA, 8)
+        assert seen and all(c == [1] * len(caller_threads) for c in seen)
+        assert blas_counts() == caller_threads
+
+    def test_counts_restored_after_error(self, caller_threads):
+        with pytest.raises(GapForgeError):
+            theta_spectrum(cycle_cell(), (1.0 + 0.0j,), 40)
+        assert blas_counts() == caller_threads
+
+    def test_solves_without_openblas(self, monkeypatch):
+        # the caller at one thread: without a lookup the solve runs at the
+        # caller's count, so the rows match to the last bit
+        g = small_torus_graph(np.random.default_rng(2718), n=18)
+        libs = bands._OPENBLAS
+        saved = blas_counts()
+        set_blas_counts(libs, [1] * len(saved))
+        try:
+            pinned = theta_spectrum(g, self.THETA, 8)
+            monkeypatch.setattr(bands, "_OPENBLAS", [])
+            unpinned = theta_spectrum(g, self.THETA, 8)
+        finally:
+            set_blas_counts(libs, saved)
+        assert np.array_equal(unpinned, pinned)
+
+
 class TestMonitoredLimits:
     def test_upper_band_neumann_trend(self):
         # lambda_{m+2}^N of the unit cell approaches min(pi^2, n/b^2) as the

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +341,25 @@ class TestDeterminism:
             main(["dispersion", "--sigma", "1.7", "--rho", "0.3", "--range", "0,5",
                   "--count", "101", "--out", str(out)])
         assert read(out1 / "dispersion.csv") == read(out2 / "dispersion.csv")
+
+    def test_bands_bytes_independent_of_blas_threads(self, tmp_path):
+        # complex characters at 1508 unknowns take the sparse path, whose
+        # last bits move with the OpenBLAS thread count unless the solver
+        # pins it
+        cfg = tmp_path / "cell.json"
+        cfg.write_text(json.dumps({"holes": [[0.5, 0.5, 0.1, 0.3]], "base_resolution": 32,
+                                   "theta_grid": 4, "num_bands": 6}))
+        src = str(Path(__file__).parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "gapforge.cli", "bands", "--config", str(cfg),
+                                   "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({name: (out / name).read_bytes() for name in ("bands.csv", "bands.json")})
+        assert outputs[0] == outputs[1]
 
 
 def test_run_pipeline_direct():
