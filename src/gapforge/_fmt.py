@@ -51,9 +51,6 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
             return "[" + ", ".join(dumps_json(v) for v in obj) + "]"
         items = ",\n".join(pad + "  " + dumps_json(v, indent + 2) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    # numpy scalars, such as a numpy.bool check result
-    if hasattr(obj, "item"):
-        return dumps_json(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

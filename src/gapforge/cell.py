@@ -302,7 +302,7 @@ def trial_rayleigh(geom: EpsGeometry, j: int) -> RayleighBound:
     num2, den2 = _rayleigh_integrals(tf, 48)
     err = max(abs(num2 - num1) / abs(num2), abs(den2 - den1) / abs(den2))
     if err > 1e-8:
-        raise QuadratureError(f"Rayleigh quadrature stalled at rel error {err:.3e}", err)
+        raise QuadratureError(f"Rayleigh quadrature stalled at rel error {err:.3e}")
     return RayleighBound(num2, den2, num2 / den2)
 
 
@@ -348,13 +348,13 @@ class RadialCell:
 
 
 def _graded_arc(theta: float, count: int) -> np.ndarray:
+    """Arc nodes from the junction angle theta < pi/2 (``eps_scale`` keeps
+    d_eps < b_eps) to pi: geometric up to pi/2, uniform beyond."""
     half = 0.5 * math.pi
-    if theta < half:
-        k = max(count // 2, 4)
-        left = np.geomspace(theta, half, k)
-        right = np.linspace(half, math.pi, count - k + 1)
-        return np.unique(np.concatenate([left, right]))
-    return np.linspace(theta, math.pi, count)
+    k = max(count // 2, 4)
+    left = np.geomspace(theta, half, k)
+    right = np.linspace(half, math.pi, count - k + 1)
+    return np.unique(np.concatenate([left, right]))
 
 
 def build_radial_cell(geom: EpsGeometry, j: int, nodes_per_segment: int = 256) -> RadialCell:
@@ -553,7 +553,8 @@ def richardson_lambda1(lam_coarse: float, lam_fine: float) -> tuple[float, float
     """Richardson pair of first eigenvalues at (N, 2N) nodes per segment:
     extrapolated limit and the observed |lambda(2N) - lambda(N)| as an
     error gauge (the scheme is second order, so the extrapolation removes
-    the h^2 term)."""
+    the h^2 term), as Python floats."""
+    lam_coarse, lam_fine = float(lam_coarse), float(lam_fine)
     return lam_fine + (lam_fine - lam_coarse) / 3.0, abs(lam_fine - lam_coarse)
 
 
@@ -565,24 +566,18 @@ def richardson_lambda1(lam_coarse: float, lam_fine: float) -> tuple[float, float
 class ReferenceLimits:
     lambda1_D_disk: float
     lambda2_sphere: float
-    lambda2_N_cube: float
     Lj_lambda2: float
-    L_lambda_m_plus_2: float
 
 
 def reference_limits(base: BubbleGeometry, j: int) -> ReferenceLimits:
     """Spectral data of the rescaled limit cells: the flat disk of radius
-    base.kappa/2 (first Dirichlet eigenvalue, via the same 1-D solver), the
-    full sphere of radius b_j (first nonzero eigenvalue n/b^2) and the unit
-    cube (first nonzero Neumann eigenvalue pi^2)."""
+    base.kappa/2 (first Dirichlet eigenvalue, via the same 1-D solver) and
+    the full sphere of radius b_j (first nonzero eigenvalue n/b^2)."""
     n = base.n
     disk = radial_eigenvalues(disk_cell(n, 0.5 * base.kappa, nodes=4096), 1)[0]
     b_j = base.channels[j][1]
     lam2_sphere = n / (b_j * b_j)
-    lam2_cube = math.pi**2
-    lj = min(disk, lam2_sphere)
-    lm2 = min(lam2_cube, min(n / (b * b) for _, b in base.channels))
-    return ReferenceLimits(float(disk), lam2_sphere, lam2_cube, float(lj), float(lm2))
+    return ReferenceLimits(float(disk), lam2_sphere, float(min(disk, lam2_sphere)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -195,15 +196,19 @@ def _model_from_config(cfg: RunConfig) -> HomogenizedModel:
     return model
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> str:
-    path = os.path.join(cfg.out, name)
+def _model_json(model: HomogenizedModel, mu: tuple[float, ...]) -> dict:
+    return {"n": model.n, "sigma": list(model.sigma), "rho": list(model.rho), "mu": list(mu)}
+
+
+def _write(out: str, name: str, text: str) -> str:
+    path = os.path.join(out, name)
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return path
 
 
 def _write_csv(cfg: RunConfig, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return _write(cfg, name, "\n".join(csv_lines(header, rows)))
+    return _write(cfg.out, name, "\n".join(csv_lines(header, rows)))
 
 
 @dataclass
@@ -238,10 +243,10 @@ def _run_design(cfg: RunConfig) -> Report:
         "targets": spec.targets.to_json(),
         "n": spec.n,
         "geometry": geom.to_json(),
-        "model": model.to_json(),
+        "model": _model_json(model, mu),
         "mu": list(mu),
     }
-    path = _write(cfg, "design.json", dumps_json(payload))
+    path = _write(cfg.out, "design.json", dumps_json(payload))
     return Report("pass", [{"name": "design", "pass": True}], [path])
 
 
@@ -258,14 +263,14 @@ def _run_limit_spectrum(cfg: RunConfig) -> Report:
     model = _model_from_config(cfg)
     mu = mu_roots(model)
     L = cfg.L if cfg.L is not None else (10.0 * mu[-1] if mu else 10.0)
-    bands_set, gaps = limit_spectrum(model, L)
+    bands_set, gaps = limit_spectrum(model, mu, L)
     payload = {
-        "model": model.to_json(),
+        "model": _model_json(model, mu),
         "L": L,
         "bands": bands_set.to_json(),
         "gaps": gaps.to_json(),
     }
-    path = _write(cfg, "limit_spectrum.json", dumps_json(payload))
+    path = _write(cfg.out, "limit_spectrum.json", dumps_json(payload))
     return Report("pass", [{"name": "limit-spectrum", "pass": True}], [path])
 
 
@@ -291,7 +296,7 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
         "flux_ratio": flux.ratio,
         "resolution": cfg.resolution,
     }
-    path = _write(cfg, "cell_eigs.json", dumps_json(payload))
+    path = _write(cfg.out, "cell_eigs.json", dumps_json(payload))
     bounded = lam1_limit <= bound.quotient + MIN_MAX_SLACK
     return Report("pass" if bounded else "fail", [{"name": "cell-eigs", "pass": bounded}], [path])
 
@@ -331,7 +336,7 @@ def _run_bands(cfg: RunConfig) -> Report:
         "L": L,
         "theta_grid": cfg.theta_grid,
     }
-    json_path = _write(cfg, "bands.json", dumps_json(payload))
+    json_path = _write(cfg.out, "bands.json", dumps_json(payload))
     return Report("pass", [{"name": "bands", "pass": True}], [csv_path, json_path])
 
 
@@ -340,7 +345,7 @@ def _run_verify(cfg: RunConfig) -> Report:
     geom_base, model = design_geometry(spec, cfg.kappa)
     mu = mu_roots(model)
     L = spec.horizon
-    bands_set, gaps = limit_spectrum(model, L)
+    bands_set, gaps = limit_spectrum(model, mu, L)
     match = gap_match_report(gaps, spec)
 
     sigma_err = max(
@@ -401,12 +406,12 @@ def _run_verify(cfg: RunConfig) -> Report:
         "delta": spec.delta,
         "L": L,
         "geometry": geom_base.to_json(),
-        "model": model.to_json(),
+        "model": _model_json(model, mu),
         "bands": bands_set.to_json(),
         "gaps": gaps.to_json(),
         "checks": checks,
     }
-    path = _write(cfg, "verify.json", dumps_json(payload))
+    path = _write(cfg.out, "verify.json", dumps_json(payload))
     return Report("pass" if all_pass else "fail", checks, [path])
 
 
@@ -468,6 +473,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: missing command; valid commands: {', '.join(COMMANDS)}", file=sys.stderr)
         return 2
     overrides: dict[str, Any] = {k: v for k, v in vars(args).items() if k != "config"}
+    # the error file goes into the merged output directory, or into --out
+    # when the arguments and the config file do not merge
+    out = args.out if args.out is not None else RunConfig.out
     try:
         if args.intervals is not None:
             overrides["intervals"] = _parse_intervals(args.intervals)
@@ -475,16 +483,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             if overrides[key] is not None:
                 overrides[key] = _parse_float_list(overrides[key], key)
         cfg = _merged_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc.field}: {exc}", file=sys.stderr)
-        return 2
-    try:
+        out = cfg.out
         _validate_config(cfg)
         report = run_pipeline(cfg)
     except GapForgeError as exc:
-        if isinstance(cfg.out, str) and os.path.isdir(cfg.out):
-            _write(cfg, f"{cfg.command.replace('-', '_')}_error.json",
-                   dumps_json({"status": "error", "error": str(exc)}))
+        if isinstance(out, str):
+            with contextlib.suppress(OSError):
+                os.makedirs(out, exist_ok=True)
+            if os.path.isdir(out):
+                _write(out, f"{args.command.replace('-', '_')}_error.json",
+                       dumps_json({"status": "error", "error": str(exc)}))
         field = f"{exc.field}: " if isinstance(exc, ConfigError) else ""
         print(f"error: {field}{exc}", file=sys.stderr)
         return 2

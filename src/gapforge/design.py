@@ -9,7 +9,7 @@ is a (d_j, b_j) pair driving one hole/bubble family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +64,15 @@ class BubbleGeometry:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogenizedModel:
     """Limit-operator data: channel resonances sigma_1 < ... < sigma_m and
-    mass weights rho_j > 0.  ``mu`` caches the gap upper edges once the
-    dispersion roots have been computed."""
+    mass weights rho_j > 0.  Immutable: the gap upper edges are a value
+    that ``dispersion.mu_roots`` returns, not a field."""
 
     n: int
     sigma: tuple[float, ...]
     rho: tuple[float, ...]
-    mu: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.sigma) != len(self.rho):
@@ -93,12 +92,6 @@ class HomogenizedModel:
     @property
     def m(self) -> int:
         return len(self.sigma)
-
-    def to_json(self) -> dict:
-        out = {"n": self.n, "sigma": list(self.sigma), "rho": list(self.rho)}
-        if self.mu is not None:
-            out["mu"] = list(self.mu)
-        return out
 
 
 def channel_sigma_rho(n: int, d: float, b: float) -> tuple[float, float]:

@@ -78,16 +78,13 @@ def bisect(g: Callable[[float], float], lo: float, hi: float, rtol: float) -> fl
 def mu_roots(model: HomogenizedModel) -> tuple[float, ...]:
     """Roots mu_1 < ... < mu_m of F, one per interval (sigma_j, sigma_{j+1})
     plus one in (sigma_m, inf): the nonzero solutions of lambda F = 0.
-    Cached into ``model.mu``."""
-    if model.mu is not None:
-        return model.mu
+    Solved on every call; a caller that needs them twice keeps the tuple."""
     roots = level_set_roots(model, 0.0)[1:]
     for j, mu in enumerate(roots):
         left = model.sigma[j]
         right = model.sigma[j + 1] if j + 1 < model.m else math.inf
         if not left < mu < right:
             raise GapForgeError(f"interlacing violated at root {j}: {mu!r} not in ({left!r}, {right!r})")
-    model.mu = roots
     return roots
 
 
@@ -158,17 +155,18 @@ def level_set_roots(model: HomogenizedModel, a: float) -> tuple[float, ...]:
     return tuple(roots)
 
 
-def limit_spectrum(model: HomogenizedModel, L: float) -> tuple[IntervalSet, IntervalSet]:
-    """Bands and gaps of the limit operator on [0, L]:
-    gaps = (sigma_j, mu_j), bands = [0, sigma_1] u [mu_1, sigma_2] u ... u [mu_m, L]."""
-    mu = mu_roots(model)
+def limit_spectrum(model: HomogenizedModel, mu: tuple[float, ...], L: float) -> tuple[IntervalSet, IntervalSet]:
+    """Bands and gaps of the limit operator on [0, L], given the roots
+    ``mu = mu_roots(model)``: gaps = (sigma_j, mu_j), bands = [0, sigma_1] u
+    [mu_1, sigma_2] u ... u [mu_m, L].  Roots that do not interlace sigma
+    raise IntervalError, and a root tuple of the wrong length ValueError."""
     top = max((*model.sigma, *mu), default=0.0)
     if math.isinf(L):
         raise ScaleError("the horizon L overflows the float range; rescale the model or give L")
     if not (L > top):
         raise GapForgeError(f"L={L} must exceed max(sigma_m, mu_m)={top}")
-    gaps = IntervalSet(tuple(zip(model.sigma, mu)))
-    bands = IntervalSet(tuple(zip((0.0, *mu), (*model.sigma, L))))
+    gaps = IntervalSet(tuple(zip(model.sigma, mu, strict=True)))
+    bands = IntervalSet(tuple(zip((0.0, *mu), (*model.sigma, L), strict=True)))
     return bands, gaps
 
 

@@ -46,10 +46,6 @@ class ResolutionError(GapForgeError):
 class QuadratureError(GapForgeError):
     """Quadrature failed to reach the requested accuracy."""
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class ConfigError(GapForgeError):
     """Invalid run configuration; ``field`` names the offending entry."""

@@ -229,18 +229,16 @@ class MatchReport:
         }
 
 
-def gap_match_report(computed_gaps: IntervalSet | Iterable[Sequence[float]], spec: GapSpec) -> MatchReport:
+def gap_match_report(computed_gaps: Iterable[Sequence[float]], spec: GapSpec) -> MatchReport:
     """Pair the first m computed gaps with the targets in increasing order.
 
     Per-gap edge error is |a_c - a| + |b_c - b|; a gap matches when the
     error is < spec.delta.  Computed gaps beyond the first m must lie in
     (L, inf).  A shortfall of computed gaps is reported as a failure, not
-    raised.
+    raised.  ``computed_gaps`` is any iterable of (lo, hi) pairs, an
+    IntervalSet included.
     """
-    if isinstance(computed_gaps, IntervalSet):
-        gaps = sorted(computed_gaps.intervals)
-    else:
-        gaps = sorted((float(lo), float(hi)) for lo, hi in computed_gaps)
+    gaps = sorted((float(lo), float(hi)) for lo, hi in computed_gaps)
     m = spec.m
     per: list[GapMatch] = []
     all_ok = True

@@ -161,7 +161,7 @@ def test_criterion_04_dispersion_structure():
             levels_checked += 1
         # vectorized sign check on band/gap interiors
         L = 1.5 * mu[-1]
-        bands, gaps = limit_spectrum(model, L)
+        bands, gaps = limit_spectrum(model, mu, L)
         lam = rng.uniform(0.0, L, size=200)
         for x in lam:
             x = float(x)
@@ -304,7 +304,7 @@ def test_criterion_10_interval_suite_and_matching():
         tight = validate_gap_spec(
             [list(t) for t in spec.targets.intervals], spec.n, 1e-6, spec.horizon
         )
-        _, gaps = limit_spectrum(model, spec.horizon)
+        _, gaps = limit_spectrum(model, mu, spec.horizon)
         match_ok &= gap_match_report(gaps, tight).passed
     elapsed = time.perf_counter() - t0
     _report(10, "interval-core examples exact + gap match at delta=1e-6",

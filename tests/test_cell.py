@@ -482,16 +482,10 @@ class TestReferenceLimits:
         ref = reference_limits(base, 0)
         assert ref.lambda2_sphere == pytest.approx(2.0, rel=1e-14)
 
-    def test_cube_neumann(self):
-        base = BubbleGeometry(3, ((1.0, 1.0),), kappa=0.5)
-        ref = reference_limits(base, 0)
-        assert ref.lambda2_N_cube == pytest.approx(math.pi**2, rel=1e-15)
-
     def test_minima(self):
         base, _ = designed_geometry()
         ref = reference_limits(base, 0)
         assert ref.Lj_lambda2 == min(ref.lambda1_D_disk, ref.lambda2_sphere)
-        assert ref.L_lambda_m_plus_2 == min(ref.lambda2_N_cube, ref.lambda2_sphere)
 
 
 class TestConvergenceTable:

@@ -254,10 +254,13 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, field, config):
     assert doc["status"] == "error"
 
 
-# non-finite reals or an integer past MAX_COUNT given on the command
-# line, and models whose roots leave the float range: exit 2 with
+# non-numeric or non-finite reals or an integer past MAX_COUNT given on the
+# command line, and models whose roots leave the float range: exit 2 with
 # <command>_error.json, no traceback
 BAD_ARGS = [
+    pytest.param("intervals[0]", ["design", "--intervals", "1,x"], id="intervals-nonnumeric"),
+    pytest.param("sigma", ["dispersion", "--sigma", "1,abc"], id="sigma-nonnumeric"),
+    pytest.param("range", ["dispersion", "--sigma", "1", "--range", "0,q"], id="range-nonnumeric"),
     pytest.param("range", ["dispersion", "--sigma", "1", "--range", "0,inf"], id="range-inf"),
     pytest.param("kappa", ["design", "--intervals", "1,2", "--kappa", "inf"], id="kappa-inf"),
     pytest.param("sigma", ["dispersion", "--sigma", "nan"], id="sigma-nan"),
@@ -289,6 +292,19 @@ def test_unrepresentable_value_exits_2(tmp_path, capsys, field, argv):
     name = f"{argv[0].replace('-', '_')}_error.json"
     assert sorted(os.listdir(out)) == [name]
     assert json.loads(read(out / name))["status"] == "error"
+
+
+# a config file that does not merge into a config: the error file goes into
+# --out, which is created for it
+@pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["invalid-json", "list"])
+def test_unreadable_config_writes_error_json(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert sorted(os.listdir(out)) == ["design_error.json"]
+    assert json.loads(read(out / "design_error.json"))["status"] == "error"
 
 
 # a bubble of radius 1e5 needs about 1e7 rings: refused before it is built

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from gapforge.dispersion import (
     mu_roots,
     sample_curve,
 )
-from gapforge.errors import GapForgeError, PoleError, ScaleError
+from gapforge.errors import GapForgeError, IntervalError, PoleError, ScaleError
 from gapforge.intervals import validate_gap_spec
 
 from helpers import level_set_roots_via_polynomial, random_gap_spec, reference_level_set_roots
@@ -98,10 +99,14 @@ class TestMuRoots:
                 if j + 1 < model.m:
                     assert mu[j] < model.sigma[j + 1]
 
-    def test_cached_into_model(self):
+    def test_model_is_frozen_and_left_unchanged(self):
         model = unit_model()
-        mu_roots(model)
-        assert model.mu == pytest.approx((2.0,))
+        before = (model.n, model.sigma, model.rho)
+        assert mu_roots(model) == pytest.approx((2.0,))
+        assert (model.n, model.sigma, model.rho) == before
+        assert not hasattr(model, "mu")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.sigma = (3.0,)
 
 
 class TestLevelSets:
@@ -289,42 +294,53 @@ class TestBisect:
 
 class TestLimitSpectrum:
     def test_unit_model(self):
-        bands, gaps = limit_spectrum(unit_model(), 10.0)
+        model = unit_model()
+        bands, gaps = limit_spectrum(model, mu_roots(model), 10.0)
         np.testing.assert_allclose(np.array(gaps.intervals), [[1.0, 2.0]], rtol=1e-12)
         np.testing.assert_allclose(np.array(bands.intervals), [[0.0, 1.0], [2.0, 10.0]], rtol=1e-12)
 
     def test_designed_two_gap_model(self):
         model = HomogenizedModel(3, (1.0, 3.0), (1.5, 1 / 6))
-        bands, gaps = limit_spectrum(model, 50.0)
+        bands, gaps = limit_spectrum(model, mu_roots(model), 50.0)
         np.testing.assert_allclose(np.array(gaps.intervals), [[1.0, 2.0], [3.0, 4.0]], rtol=1e-11)
 
     def test_empty_model(self):
         model = HomogenizedModel(3, (), ())
-        bands, gaps = limit_spectrum(model, 5.0)
+        bands, gaps = limit_spectrum(model, mu_roots(model), 5.0)
         assert bands.intervals == ((0.0, 5.0),)
         assert gaps.intervals == ()
 
     def test_band_below_a_tiny_first_gap_kept(self):
         # [0, sigma_1] is a band however small sigma_1 is next to L
         model = HomogenizedModel(3, (1e-12, 2.0), (1.5e12, 0.25))
-        bands, gaps = limit_spectrum(model, 100.0)
         mu = mu_roots(model)
+        bands, gaps = limit_spectrum(model, mu, 100.0)
         assert bands.intervals == ((0.0, 1e-12), (mu[0], 2.0), (mu[1], 100.0))
         assert gaps.intervals == ((1e-12, mu[0]), (2.0, mu[1]))
 
     def test_non_finite_horizon_rejected(self):
         with pytest.raises(ScaleError):
-            limit_spectrum(unit_model(), math.inf)
+            limit_spectrum(unit_model(), (2.0,), math.inf)
 
     def test_small_horizon_rejected(self):
         with pytest.raises(GapForgeError):
-            limit_spectrum(unit_model(), 1.5)
+            limit_spectrum(unit_model(), (2.0,), 1.5)
+
+    def test_roots_that_do_not_interlace_rejected(self):
+        # mu_1 = 0.5 lies below sigma_1 = 1: the gap (1, 0.5) is empty
+        with pytest.raises(IntervalError):
+            limit_spectrum(unit_model(), (0.5,), 10.0)
+
+    @pytest.mark.parametrize("mu", [(), (2.0, 3.0)])
+    def test_roots_of_the_wrong_length_rejected(self, mu):
+        with pytest.raises(ValueError):
+            limit_spectrum(unit_model(), mu, 10.0)
 
     def test_sign_duality_on_samples(self):
         rng = np.random.default_rng(33)
         model = random_model(rng, 3)
-        L = 2.0 * mu_roots(model)[-1]
-        bands, gaps = limit_spectrum(model, L)
+        mu = mu_roots(model)
+        bands, gaps = limit_spectrum(model, mu, 2.0 * mu[-1])
         for lo, hi in bands:
             for lam in np.linspace(lo + 1e-6, hi - 1e-6, 40):
                 if min(abs(lam - s) for s in model.sigma) > 1e-6:
@@ -367,7 +383,7 @@ class TestSampleCurve:
     def test_sign_pattern_matches_gap(self):
         model = unit_model()
         samples = sample_curve(model, (0.0, 3.0), 301)
-        bands, gaps = limit_spectrum(model, 10.0)
+        bands, gaps = limit_spectrum(model, mu_roots(model), 10.0)
         for lam, val, flag in samples:
             if flag or lam in (0.0,):
                 continue
@@ -424,7 +440,7 @@ def test_round_trip_spec_to_spectrum():
     for _ in range(10):
         spec = random_gap_spec(rng, m=int(rng.integers(1, 5)), n=3)
         _, model = design_geometry(spec)
-        bands, gaps = limit_spectrum(model, spec.horizon)
+        bands, gaps = limit_spectrum(model, mu_roots(model), spec.horizon)
         got = np.array(gaps.intervals)
         want = np.array(spec.targets.intervals)
         assert np.max(np.abs(got - want) / want) < 1e-9
