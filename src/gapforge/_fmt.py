@@ -54,15 +54,35 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[str]:
-    """Header plus one line per row of Python scalars: bools as 1/0."""
-    def cell(v: Any) -> str:
-        if isinstance(v, bool):
-            return "1" if v else "0"
-        if isinstance(v, float):
-            return fmt_real(v)
-        return str(v)
+def _cell(v: Any) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return fmt_real(v)
+    return str(v)
 
+
+# the %-conversion of each cell type that prints the bytes of _cell, NaN and
+# infinities aside
+_CONVERSIONS = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
+
+
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[str]:
+    """Header plus one line per row of Python scalars: bools as 1/0.
+
+    A row is formatted with one %-template per sequence of cell types; a
+    row with another type, or whose line holds an "n" (from nan or inf),
+    goes through ``_cell`` one cell at a time."""
+    templates: dict[tuple[type, ...], str | None] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            specs = [_CONVERSIONS.get(t) for t in types]
+            templates[types] = None if None in specs else ",".join(specs)
+        template = templates[types]
+        line = template % tuple(row) if template is not None else None
+        if line is None or "n" in line:
+            line = ",".join(map(_cell, row))
+        lines.append(line)
     return lines

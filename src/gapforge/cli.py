@@ -78,13 +78,13 @@ _KINDS = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bo
 def load_config(path: str | None = None, overrides: dict[str, Any] | None = None) -> RunConfig:
     """Merge a JSON config file with command-line overrides and validate;
     errors name the offending field."""
-    cfg = _merged_config(path, overrides)
+    cfg = _config_from(_merged_data(path, overrides))
     _validate_config(cfg)
     return cfg
 
 
-def _merged_config(path: str | None, overrides: dict[str, Any] | None) -> RunConfig:
-    """The config file with the overrides applied, unvalidated."""
+def _merged_data(path: str | None, overrides: dict[str, Any] | None) -> dict[str, Any]:
+    """The fields of the config file with the overrides applied, unchecked."""
     data: dict[str, Any] = {}
     if path is not None:
         if not os.path.isfile(path):
@@ -99,6 +99,11 @@ def _merged_config(path: str | None, overrides: dict[str, Any] | None) -> RunCon
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value
+    return data
+
+
+def _config_from(data: dict[str, Any]) -> RunConfig:
+    """The merged fields as a config, unvalidated."""
     fields = {f.name for f in dc_fields(RunConfig)}
     for key in data:
         if key not in fields:
@@ -108,11 +113,19 @@ def _merged_config(path: str | None, overrides: dict[str, Any] | None) -> RunCon
     return RunConfig(**data)
 
 
+def _of_kind(value: Any, kind: str) -> bool:
+    """``value`` is accepted for a field annotated ``kind``; a plain float or
+    int is judged without the slower numbers ABC check."""
+    if type(value) is float or type(value) is int:
+        return kind == "float" or (kind == "int" and type(value) is int)
+    return isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
 def _check_reals(name: str, values: Any, length: int | None = None) -> None:
     """``values`` is a list of finite reals (of the given length)."""
     if (
         not isinstance(values, (list, tuple))
-        or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+        or not all(_of_kind(v, "float") and math.isfinite(v) for v in values)
         or (length is not None and len(values) != length)
     ):
         what = f"a list of {length} finite reals" if length is not None else "a list of finite reals"
@@ -137,7 +150,7 @@ def _validate_config(cfg: RunConfig) -> None:
         kind, _, optional = f.type.partition(" | ")
         if value is None and optional == "None":
             continue
-        if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "bool"):
+        if not _of_kind(value, kind):
             raise ConfigError(f.name, f"{f.name}={value!r} must be of type {kind}")
         if kind == "float" and not math.isfinite(value):
             raise ConfigError(f.name, f"{f.name}={value!r} must be finite")
@@ -201,9 +214,14 @@ def _model_json(model: HomogenizedModel, mu: tuple[float, ...]) -> dict:
 
 
 def _write(out: str, name: str, text: str) -> str:
+    """Write ``text`` and a newline to ``out/name``, overwriting the file in
+    place: opened without O_TRUNC and cut to length after the write, since
+    truncating a non-empty file makes ext4 (auto_da_alloc) flush the new
+    data at close()."""
     path = os.path.join(out, name)
-    with open(path, "w") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text + "\n")
+        fh.truncate()
     return path
 
 
@@ -474,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     overrides: dict[str, Any] = {k: v for k, v in vars(args).items() if k != "config"}
     # the error file goes into the merged output directory, or into --out
-    # when the arguments and the config file do not merge
+    # when the config file cannot be read
     out = args.out if args.out is not None else RunConfig.out
     try:
         if args.intervals is not None:
@@ -482,8 +500,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key in ("sigma", "rho", "range", "eps_list"):
             if overrides[key] is not None:
                 overrides[key] = _parse_float_list(overrides[key], key)
-        cfg = _merged_config(args.config, overrides)
-        out = cfg.out
+        data = _merged_data(args.config, overrides)
+        out = data.get("out", out)
+        cfg = _config_from(data)
         _validate_config(cfg)
         report = run_pipeline(cfg)
     except GapForgeError as exc:

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gapforge.cli import MIN_MAX_SLACK, RunConfig, load_config, main, run_pipeline
+from gapforge.cli import MIN_MAX_SLACK, RunConfig, _write, load_config, main, run_pipeline
 from gapforge.errors import ConfigError
 
 
@@ -305,6 +307,66 @@ def test_unreadable_config_writes_error_json(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: config: ")
     assert sorted(os.listdir(out)) == ["design_error.json"]
     assert json.loads(read(out / "design_error.json"))["status"] == "error"
+
+
+def test_unknown_field_error_goes_to_config_out(tmp_path, monkeypatch, capsys):
+    # the config's own out is read before its unknown field is rejected
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"command": "design", "intervals": [[1, 2]], "out": "want", "bogus": 1}))
+    assert main(["design", "--config", "c.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: bogus: ")
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "want"]
+    assert sorted(os.listdir(tmp_path / "want")) == ["design_error.json"]
+    assert json.loads(read(tmp_path / "want" / "design_error.json"))["status"] == "error"
+
+
+# verdicts on number types of a float field, an int field, an element of a
+# list of reals and a bool field: a bool is no number, and non-finite reals
+# are refused
+NUMBER_VERDICTS = [
+    pytest.param(1.5, True, False, True, False, id="float"),
+    pytest.param(3, True, True, True, False, id="int"),
+    pytest.param(np.float64(1.5), True, False, True, False, id="numpy-float64"),
+    pytest.param(np.int64(3), True, True, True, False, id="numpy-int64"),
+    pytest.param(Fraction(3, 2), True, False, True, False, id="fraction"),
+    pytest.param(True, False, False, False, True, id="bool"),
+    pytest.param(np.bool_(True), False, False, False, False, id="numpy-bool"),
+    pytest.param(math.nan, False, False, False, False, id="nan"),
+    pytest.param(math.inf, False, False, False, False, id="inf"),
+    pytest.param("3", False, False, False, False, id="string"),
+]
+
+
+@pytest.mark.parametrize("value, real, integer, listed, flag", NUMBER_VERDICTS)
+def test_number_type_verdicts(tmp_path, value, real, integer, listed, flag):
+    base = {"command": "dispersion", "out": str(tmp_path)}
+    for field, accepted in (("kappa", real), ("count", integer), ("sigma", listed), ("with_bands", flag)):
+        overrides = {**base, field: [value] if field == "sigma" else value}
+        if accepted:
+            load_config(None, overrides)
+        else:
+            with pytest.raises(ConfigError) as err:
+                load_config(None, overrides)
+            assert err.value.field == field
+
+
+def test_write_leaves_no_stale_tail(tmp_path):
+    path = _write(str(tmp_path), "a.json", "a first text, longer than the second")
+    assert _write(str(tmp_path), "a.json", "short") == path
+    assert read(path) == "short\n"
+
+
+def test_write_new_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        path = _write(str(tmp_path), "new.json", "x")
+        with open(tmp_path / "reference.json", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = os.stat(path).st_mode & 0o777
+    assert mode == os.stat(tmp_path / "reference.json").st_mode & 0o777 == 0o640
 
 
 # a bubble of radius 1e5 needs about 1e7 rings: refused before it is built

@@ -1,6 +1,6 @@
 """Golden gate: the seven CLI commands reproduce their checked-in
-artifacts byte for byte (``tests/golden/regenerate.py`` says how the files
-were made)."""
+artifacts byte for byte, into a fresh directory and over longer files
+(``tests/golden/regenerate.py`` says how the files were made)."""
 
 import os
 import subprocess
@@ -21,15 +21,18 @@ def _artifacts(root: Path) -> dict[str, bytes]:
     }
 
 
-@pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
+def _regenerate(out: Path) -> dict[str, bytes]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(GOLDEN / "regenerate.py"), str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return _artifacts(out)
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    return _regenerate(tmp_path_factory.mktemp("golden"))
 
 
 def test_same_artifact_set(fresh):
@@ -39,3 +42,14 @@ def test_same_artifact_set(fresh):
 @pytest.mark.parametrize("name", sorted(_artifacts(GOLDEN)))
 def test_artifact_byte_identical(fresh, name):
     assert fresh.get(name) == _artifacts(GOLDEN)[name], f"{name} differs from its golden copy"
+
+
+def test_rewrite_over_longer_files_byte_identical(tmp_path):
+    # artifacts are rewritten in place and must leave no old tail
+    golden = _artifacts(GOLDEN)
+    for name, data in golden.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(b"junk," * (len(data) // 5 + 100))
+    rewritten = _regenerate(tmp_path)
+    assert sorted(rewritten) == sorted(golden)
+    assert [name for name in golden if rewritten[name] != golden[name]] == []
