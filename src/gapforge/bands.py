@@ -192,34 +192,39 @@ def build_cell_graph(
             if math.hypot(cx - cx2, cy - cy2) <= r + r2:
                 raise GeometryError(f"holes {k2} and {i} violate the separation condition")
 
-    # square grid vertices, minus hole interiors
-    idx = -np.ones((N + 1, N + 1), dtype=int)
-    masses: list[float] = []
-    for i in range(N + 1):
-        for j in range(N + 1):
-            x, y = i * h, j * h
-            if any(math.hypot(x - cx, y - cy) < r for cx, cy, r, _ in holes):
-                continue
-            fx = 0.5 if i in (0, N) else 1.0
-            fy = 0.5 if j in (0, N) else 1.0
-            idx[i, j] = len(masses)
-            masses.append(fx * fy * h * h)
+    # each grid point gets the index of the hole that contains it, or -1.
+    # Only points near a hole are tested, with math.hypot: numpy's hypot
+    # picks its loop per CPU and can round a boundary point the other way
+    x = np.arange(N + 1) * h
+    label = np.full((N + 1, N + 1), -1)
+    for k, (cx, cy, r, _) in enumerate(holes):
+        near_i = np.flatnonzero(np.abs(x - cx) < r + h)
+        near_j = np.flatnonzero(np.abs(x - cy) < r + h)
+        for i in near_i.tolist():
+            for j in near_j.tolist():
+                if math.hypot(i * h - cx, j * h - cy) < r:
+                    label[i, j] = k
 
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
-    for i in range(N + 1):
-        for j in range(N + 1):
-            a = idx[i, j]
-            if a < 0:
-                continue
-            if i < N and idx[i + 1, j] >= 0:  # x-edge; halved on y-faces
-                edges.append((a, idx[i + 1, j]))
-                weights.append(0.5 if j in (0, N) else 1.0)
-            if j < N and idx[i, j + 1] >= 0:  # y-edge; halved on x-faces
-                edges.append((a, idx[i, j + 1]))
-                weights.append(0.5 if i in (0, N) else 1.0)
+    # square grid vertices in row-major order, minus hole interiors
+    alive = label < 0
+    idx = np.full((N + 1, N + 1), -1)
+    idx[alive] = np.arange(np.count_nonzero(alive))
+    f = np.ones(N + 1)  # halved on the faces
+    f[[0, N]] = 0.5
+    fx, fy = np.meshgrid(f, f, indexing="ij")
+    masses = (fx * fy * h * h)[alive]
 
-    rings = [_hole_ring(idx, N, h, cx, cy, r) for cx, cy, r, _ in holes]
+    # each vertex's x-edge (halved on y-faces), then its y-edge (halved on x-faces)
+    target = np.full((N + 1, N + 1, 2), -1)
+    target[:-1, :, 0] = idx[1:, :]
+    target[:, :-1, 1] = idx[:, 1:]
+    conductance = np.stack([fy, fx], axis=-1)
+    source = np.broadcast_to(idx[..., None], target.shape)
+    live = (source >= 0) & (target >= 0)
+    edges = [np.stack([source[live], target[live]], axis=1)]
+    weights = [conductance[live]]
+
+    rings = [_hole_ring(idx, label, k, h, cx, cy) for k, (cx, cy, _, _) in enumerate(holes)]
     counts = [max(8, round((math.pi - math.asin(r / b)) * b / h)) for _, _, r, b in holes]
     for k, ((ring, _), P) in enumerate(zip(rings, counts)):
         if P * len(ring) > MAX_BUBBLE_VERTICES:
@@ -227,21 +232,21 @@ def build_cell_graph(
                 f"hole {k}: bubble radius {holes[k][3]} needs {P} rings of {len(ring)} vertices,"
                 f" more than {MAX_BUBBLE_VERTICES}"
             )
-    bubbles = [
-        _glue_bubble(masses, edges, weights, ring, phis, P, r, b)
-        for (ring, phis), P, (_, _, r, b) in zip(rings, counts, holes)
-    ]
+    bubbles = []
+    for (ring, phis), P, (_, _, r, b) in zip(rings, counts, holes):
+        ids, pole, area, bubble_edges, bubble_weights = _glue_bubble(ring, phis, P, r, b, len(masses))
+        masses[ring] += area[: len(ring)]  # ring 0 is the hole's grid ring
+        masses = np.concatenate([masses, area[len(ring):]])
+        edges.append(bubble_edges)
+        weights.append(bubble_weights)
+        bubbles.append((ids, pole))
 
-    pairs: list[tuple[int, int, int]] = []
-    for j in range(N + 1):
-        pairs.append((int(idx[0, j]), int(idx[N, j]), 1))
-    for i in range(N + 1):
-        pairs.append((int(idx[i, 0]), int(idx[i, N]), 2))
-
+    pairs = [(int(idx[0, j]), int(idx[N, j]), 1) for j in range(N + 1)]
+    pairs += [(int(idx[i, 0]), int(idx[i, N]), 2) for i in range(N + 1)]
     graph = PeriodCellGraph(
-        masses=np.asarray(masses),
-        edges=np.asarray(edges, dtype=int),
-        weights=np.asarray(weights),
+        masses=masses,
+        edges=np.concatenate(edges),
+        weights=np.concatenate(weights),
         boundary_pairs=tuple(pairs),
         ndim=2,
         symmetry_candidates=_square_symmetry_candidates(idx, bubbles, len(masses)),
@@ -282,46 +287,37 @@ def _square_symmetry_candidates(idx: np.ndarray, bubbles, nv: int) -> tuple[np.n
     return tuple(candidates)
 
 
-def _hole_ring(idx, N, h, cx, cy, r) -> tuple[list[int], np.ndarray]:
-    """Live square vertices that lost a neighbour to the hole, by angle
-    about its centre, and those angles."""
-    ring: list[int] = []
-    phis: list[float] = []
-    for i in range(N + 1):
-        for j in range(N + 1):
-            a = idx[i, j]
-            if a < 0:
-                continue
-            nb_removed = False
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii <= N and 0 <= jj <= N and idx[ii, jj] < 0:
-                    x, y = ii * h, jj * h
-                    if math.hypot(x - cx, y - cy) < r:
-                        nb_removed = True
-            if nb_removed:
-                ring.append(a)
-                phis.append(math.atan2(j * h - cy, i * h - cx))
-    if len(ring) < 4:
+def _hole_ring(idx, label, k, h, cx, cy) -> tuple[np.ndarray, np.ndarray]:
+    """Live square vertices with a neighbour in hole k (``label`` == k), by
+    angle about its centre (cx, cy), and those angles."""
+    inside = label == k
+    borders = np.zeros_like(inside)
+    borders[1:] |= inside[:-1]
+    borders[:-1] |= inside[1:]
+    borders[:, 1:] |= inside[:, :-1]
+    borders[:, :-1] |= inside[:, 1:]
+    i, j = np.nonzero(borders & (idx >= 0))
+    if len(i) < 4:
         raise ResolutionError("hole boundary ring has fewer than 4 vertices")
+    phis = np.array([math.atan2(jj * h - cy, ii * h - cx) for ii, jj in zip(i.tolist(), j.tolist())])
     order = np.argsort(phis)
-    return [ring[k] for k in order], np.asarray(phis)[order]
+    return idx[i, j][order], phis[order]
 
 
-def _glue_bubble(masses, edges, weights, ring, phis, P, r, b) -> tuple[np.ndarray, int]:
+def _glue_bubble(ring, phis, P, r, b, first):
     """Latitude-longitude graph on the truncated sphere of radius b with P
     rings, identified ring-to-ring with the hole-boundary ``ring`` of the
     square grid (angular matching); masses are exact cell areas on the
-    sphere.  Returns the (P, Q) vertex ids of the rings, ring 0 being
-    ``ring``, and the pole's id."""
+    sphere.  Returns the (P, Q) vertex ids of the rings (ring 0 is
+    ``ring``, the others are numbered from ``first``), the pole's id, the
+    areas of the ring vertices and then of the pole, and the bubble's
+    edges and weights."""
     Q = len(ring)
-    # azimuthal cell widths (non-uniform ring spacing on the square grid)
-    dphi = np.empty(Q)
-    for q in range(Q):
-        left = phis[q] - phis[q - 1] if q > 0 else phis[0] - (phis[-1] - 2 * math.pi)
-        right = phis[(q + 1) % Q] - phis[q] if q + 1 < Q else phis[0] + 2 * math.pi - phis[-1]
-        dphi[q] = 0.5 * (left + right)
+    # azimuthal spacing to the next ring vertex, and cell widths (the ring
+    # spacing on the square grid is non-uniform)
     gap = np.diff(np.concatenate([phis, [phis[0] + 2 * math.pi]]))
+    left = np.concatenate([[phis[0] - (phis[-1] - 2 * math.pi)], gap[:-1]])
+    dphi = 0.5 * (left + gap)
 
     theta0 = math.asin(r / b)
     dth = (math.pi - theta0) / P
@@ -330,35 +326,24 @@ def _glue_bubble(masses, edges, weights, ring, phis, P, r, b) -> tuple[np.ndarra
     def area(th_lo, th_hi, dp):  # exact spherical cell area
         return b * b * dp * (math.cos(th_lo) - math.cos(th_hi))
 
-    ring_ids = [[0] * Q for _ in range(P)]  # rings p=0..P-1; pole handled apart
-    ring_ids[0] = ring
-    for q in range(Q):
-        masses[ring[q]] += area(theta0, theta0 + 0.5 * dth, dphi[q])
-    for p in range(1, P):
-        for q in range(Q):
-            ring_ids[p][q] = len(masses)
-            masses.append(area(angles[p] - 0.5 * dth, angles[p] + 0.5 * dth, dphi[q]))
-    pole = len(masses)
-    masses.append(area(math.pi - 0.5 * dth, math.pi, 2 * math.pi))
+    ids = np.empty((P, Q), dtype=int)
+    ids[0] = ring
+    ids[1:] = np.arange(first, first + (P - 1) * Q).reshape(P - 1, Q)
+    pole = first + (P - 1) * Q
+    areas = [area(theta0, theta0 + 0.5 * dth, dphi)]
+    areas += [area(angles[p] - 0.5 * dth, angles[p] + 0.5 * dth, dphi) for p in range(1, P)]
+    areas.append([area(math.pi - 0.5 * dth, math.pi, 2 * math.pi)])
 
-    for p in range(P):
-        th_mid = angles[p] + 0.5 * dth
-        for q in range(Q):
-            c_bub = math.sin(th_mid) * dphi[q] / dth
-            if p == 0:
-                # seam: harmonic mean with the flat-grid conductance
-                w = 2.0 * 1.0 * c_bub / (1.0 + c_bub)
-            else:
-                w = c_bub
-            target = pole if p == P - 1 else ring_ids[p + 1][q]
-            edges.append((ring_ids[p][q], target))
-            weights.append(w)
-    for p in range(1, P):
-        s = math.sin(angles[p])
-        for q in range(Q):
-            edges.append((ring_ids[p][q], ring_ids[p][(q + 1) % Q]))
-            weights.append(dth / (s * gap[q]))
-    return np.asarray(ring_ids), pole
+    # ring p to ring p + 1 (the last ring to the pole), then around rings 1..P-1
+    down = np.array([math.sin(a + 0.5 * dth) for a in angles[:-1]])[:, None] * dphi / dth
+    down[0] = 2.0 * down[0] / (1.0 + down[0])  # seam: harmonic mean with the flat-grid conductance 1
+    around = dth / (np.array([math.sin(a) for a in angles[1:-1]])[:, None] * gap)
+    below = np.vstack([ids[1:], np.full(Q, pole)])
+    edges = np.concatenate([
+        np.stack([ids.ravel(), below.ravel()], axis=1),
+        np.stack([ids[1:].ravel(), np.roll(ids[1:], -1, axis=1).ravel()], axis=1),
+    ])
+    return ids, pole, np.concatenate(areas), edges, np.concatenate([down.ravel(), around.ravel()])
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,10 @@ def eps_scale(base: BubbleGeometry, eps: float) -> EpsGeometry:
     for j, (d, b) in enumerate(base.channels):
         if n == 2:
             d_eps = math.exp(-1.0 / (d * eps * eps))
-            if d_eps == 0.0:
-                raise ScaleError(
-                    f"channel {j}: exp(-1/(d eps^2)) underflows for eps={eps};"
-                    " increase eps"
-                )
         else:
             d_eps = d * eps ** (n / (n - 2.0))
+        if d_eps == 0.0:
+            raise ScaleError(f"channel {j}: the hole radius d_eps underflows for eps={eps}; increase eps")
         b_eps = b * eps
         if not (d_eps < b_eps):
             raise GeometryError(

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from gapforge.bands import PeriodCellGraph
+from gapforge.bands import PeriodCellGraph, _square_symmetry_candidates
 from gapforge.cell import RadialCell, _assemble_path
 from gapforge.design import HomogenizedModel
 from gapforge.errors import GeometryError, PoleError
@@ -174,6 +174,128 @@ def reference_fold_structure(graph):
                     raise GeometryError("inconsistent boundary identifications")
         n_comp += 1
     return comp, shift, n_comp
+
+
+def random_holes(rng: np.random.Generator, m: int, N: int) -> list[tuple[float, float, float, float]]:
+    """m holes (cx, cy, hole radius, bubble radius) on the unit cell that
+    span at least 6 cells of an N x N grid and stay a grid step clear of
+    the faces and of each other."""
+    h = 1.0 / N
+    holes: list[tuple[float, float, float, float]] = []
+    while len(holes) < m:
+        r = float(rng.uniform(3.0 * h, max(3.0 * h, 0.2)))
+        cx, cy = (float(c) for c in rng.uniform(r + h, 1.0 - r - h, size=2))
+        if all(math.hypot(cx - x, cy - y) > r + s + h for x, y, s, _ in holes):
+            holes.append((cx, cy, r, float(rng.uniform(1.05 * r, 0.45))))
+    return holes
+
+
+def reference_cell_graph(holes, N):
+    """``bands.build_cell_graph`` on the unit cell as it was before it
+    labelled the grid: point-by-point passes for the vertices and edges, a
+    full-grid scan per hole ring that re-tests hole membership, and bubbles
+    glued by appending to shared lists.  The frozen reference for that
+    function; it does not check its input."""
+    h = 1.0 / N
+    idx = -np.ones((N + 1, N + 1), dtype=int)
+    masses: list[float] = []
+    for i in range(N + 1):
+        for j in range(N + 1):
+            x, y = i * h, j * h
+            if any(math.hypot(x - cx, y - cy) < r for cx, cy, r, _ in holes):
+                continue
+            fx = 0.5 if i in (0, N) else 1.0
+            fy = 0.5 if j in (0, N) else 1.0
+            idx[i, j] = len(masses)
+            masses.append(fx * fy * h * h)
+
+    edges: list[tuple[int, int]] = []
+    weights: list[float] = []
+    for i in range(N + 1):
+        for j in range(N + 1):
+            a = idx[i, j]
+            if a < 0:
+                continue
+            if i < N and idx[i + 1, j] >= 0:
+                edges.append((a, idx[i + 1, j]))
+                weights.append(0.5 if j in (0, N) else 1.0)
+            if j < N and idx[i, j + 1] >= 0:
+                edges.append((a, idx[i, j + 1]))
+                weights.append(0.5 if i in (0, N) else 1.0)
+
+    def hole_ring(cx, cy, r):
+        ring, phis = [], []
+        for i in range(N + 1):
+            for j in range(N + 1):
+                a = idx[i, j]
+                if a < 0:
+                    continue
+                nb_removed = False
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    ii, jj = i + di, j + dj
+                    if 0 <= ii <= N and 0 <= jj <= N and idx[ii, jj] < 0:
+                        if math.hypot(ii * h - cx, jj * h - cy) < r:
+                            nb_removed = True
+                if nb_removed:
+                    ring.append(a)
+                    phis.append(math.atan2(j * h - cy, i * h - cx))
+        order = np.argsort(phis)
+        return [ring[k] for k in order], np.asarray(phis)[order]
+
+    def glue_bubble(ring, phis, P, r, b):
+        Q = len(ring)
+        dphi = np.empty(Q)
+        for q in range(Q):
+            left = phis[q] - phis[q - 1] if q > 0 else phis[0] - (phis[-1] - 2 * math.pi)
+            right = phis[(q + 1) % Q] - phis[q] if q + 1 < Q else phis[0] + 2 * math.pi - phis[-1]
+            dphi[q] = 0.5 * (left + right)
+        gap = np.diff(np.concatenate([phis, [phis[0] + 2 * math.pi]]))
+        theta0 = math.asin(r / b)
+        dth = (math.pi - theta0) / P
+        angles = [theta0 + p * dth for p in range(P + 1)]
+
+        def area(th_lo, th_hi, dp):
+            return b * b * dp * (math.cos(th_lo) - math.cos(th_hi))
+
+        ring_ids = [[0] * Q for _ in range(P)]
+        ring_ids[0] = ring
+        for q in range(Q):
+            masses[ring[q]] += area(theta0, theta0 + 0.5 * dth, dphi[q])
+        for p in range(1, P):
+            for q in range(Q):
+                ring_ids[p][q] = len(masses)
+                masses.append(area(angles[p] - 0.5 * dth, angles[p] + 0.5 * dth, dphi[q]))
+        pole = len(masses)
+        masses.append(area(math.pi - 0.5 * dth, math.pi, 2 * math.pi))
+        for p in range(P):
+            th_mid = angles[p] + 0.5 * dth
+            for q in range(Q):
+                c_bub = math.sin(th_mid) * dphi[q] / dth
+                w = 2.0 * 1.0 * c_bub / (1.0 + c_bub) if p == 0 else c_bub
+                target = pole if p == P - 1 else ring_ids[p + 1][q]
+                edges.append((ring_ids[p][q], target))
+                weights.append(w)
+        for p in range(1, P):
+            s = math.sin(angles[p])
+            for q in range(Q):
+                edges.append((ring_ids[p][q], ring_ids[p][(q + 1) % Q]))
+                weights.append(dth / (s * gap[q]))
+        return np.asarray(ring_ids), pole
+
+    rings = [hole_ring(cx, cy, r) for cx, cy, r, _ in holes]
+    counts = [max(8, round((math.pi - math.asin(r / b)) * b / h)) for _, _, r, b in holes]
+    bubbles = [glue_bubble(ring, phis, P, r, b)
+               for (ring, phis), P, (_, _, r, b) in zip(rings, counts, holes)]
+    pairs = [(int(idx[0, j]), int(idx[N, j]), 1) for j in range(N + 1)]
+    pairs += [(int(idx[i, 0]), int(idx[i, N]), 2) for i in range(N + 1)]
+    return PeriodCellGraph(
+        masses=np.asarray(masses),
+        edges=np.asarray(edges, dtype=int),
+        weights=np.asarray(weights),
+        boundary_pairs=tuple(pairs),
+        ndim=2,
+        symmetry_candidates=_square_symmetry_candidates(idx, bubbles, len(masses)),
+    )
 
 
 def inertia_count(K, M, shift):

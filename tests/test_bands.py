@@ -31,6 +31,8 @@ from helpers import (
     dense_folded_oracle,
     dirichlet_loop_matrix,
     inertia_count,
+    random_holes,
+    reference_cell_graph,
     reference_fold_structure,
     small_torus_graph,
 )
@@ -206,12 +208,16 @@ class TestSquareSymmetry:
         # the grid vertex at x = 0.5 borders both holes: the ring
         # correspondence must be kept per hole, not per grid vertex
         N = 16
+        label = -np.ones((N + 1, N + 1), dtype=int)
+        for k, (cx, cy, r, _) in enumerate(TWO_HOLES):
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    if math.hypot(i / N - cx, j / N - cy) < r:
+                        label[i, j] = k
         idx = -np.ones((N + 1, N + 1), dtype=int)
-        live = [(i, j) for i in range(N + 1) for j in range(N + 1)
-                if all(math.hypot(i / N - cx, j / N - cy) >= r for cx, cy, r, _ in TWO_HOLES)]
-        for v, (i, j) in enumerate(live):
-            idx[i, j] = v
-        rings = [bands._hole_ring(idx, N, 1.0 / N, cx, cy, r)[0] for cx, cy, r, _ in TWO_HOLES]
+        idx[label < 0] = np.arange(np.count_nonzero(label < 0))
+        rings = [bands._hole_ring(idx, label, k, 1.0 / N, cx, cy)[0]
+                 for k, (cx, cy, _, _) in enumerate(TWO_HOLES)]
         assert set(rings[0]) & set(rings[1])
 
     def test_demo_cell_counts(self, monkeypatch, demo_graph):
@@ -355,6 +361,41 @@ class TestBuilder:
         ch = geom.channels[0]
         with pytest.raises(ResolutionError):
             build_cell_graph(holes=[(0.25, 0.25, ch.d_eps, ch.b_eps)], cell_size=geom.eps, grid=GridSpec(64))
+
+
+def seeded_oracle_cells():
+    """(label, holes, N) for the builder oracle: one- and two-hole cells
+    at N = 16-64, one of each at N = 128, the demo cell, the benchmark's
+    bubble-scan cells and the square-symmetry cells."""
+    rng = np.random.default_rng(1717)
+    cells = []
+    for m, sizes in ((1, (16, 20, 24, 32, 40, 48, 64, 128)), (2, (16, 24, 32, 48, 64, 128))):
+        for N in sizes:
+            cells.append((f"seeded-{m}hole-N{N}", random_holes(rng, m, N), N))
+    cells.append(("demo", [(0.5, 0.5, 0.05, 0.3)], 64))
+    scan = ([(0.5, 0.5, 0.20, 0.28)], [(0.5, 0.5, 0.20, 0.36)],
+            [(0.27, 0.5, 0.19, 0.22), (0.73, 0.5, 0.19, 0.30)],
+            [(0.30, 0.30, 0.19, 0.26), (0.70, 0.70, 0.19, 0.24)])
+    cells += [(f"bubble-scan{c}", holes, 16) for c, holes in enumerate(scan)]
+    cells += [(name, holes, N) for name, (holes, N) in TestSquareSymmetry.CELLS.items()]
+    return cells
+
+
+ORACLE_CELLS = seeded_oracle_cells()
+
+
+@pytest.mark.parametrize("label, holes, N", ORACLE_CELLS, ids=[c[0] for c in ORACLE_CELLS])
+def test_builder_matches_frozen_reference(label, holes, N):
+    # bit for bit: the band golden files build only one cell
+    got = build_cell_graph(holes=holes, cell_size=1.0, grid=GridSpec(N))
+    ref = reference_cell_graph(holes, N)
+    for name in ("masses", "edges", "weights"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.boundary_pairs == ref.boundary_pairs
+    assert len(got.symmetry_candidates) == len(ref.symmetry_candidates)
+    for p, q in zip(got.symmetry_candidates, ref.symmetry_candidates):
+        assert np.array_equal(p, q)
 
 
 def path_graph(nv, pairs, ndim):

@@ -64,9 +64,11 @@ class TestEpsScale:
         assert geom.channels[0].theta == pytest.approx(math.pi / 6, rel=1e-14)
 
     def test_underflow_raises_scale_error(self):
-        base = BubbleGeometry(2, ((1.0, 1.0),), kappa=0.5)
-        with pytest.raises(ScaleError):
-            eps_scale(base, 0.01)
+        # exp(-1/(d eps^2)) at n = 2 and d eps^(n/(n-2)) above it reach 0.0
+        for n, eps in ((2, 0.01), (3, 1e-300), (4, 1e-200)):
+            base = BubbleGeometry(n, ((1.0, 1.0),), kappa=0.5)
+            with pytest.raises(ScaleError, match="increase eps"):
+                eps_scale(base, eps)
 
     def test_hole_must_fit_in_bubble(self):
         base = BubbleGeometry(3, ((2.0, 0.5),), kappa=0.5)

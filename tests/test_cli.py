@@ -127,12 +127,14 @@ class TestCommands:
             assert bounded == (code_expected == 0), resolution
 
     def test_cell_eigs_unrepresentable_scale_exits_2(self, tmp_path):
-        # 0.01: the hole radius underflows; 0.09 and 0.093: the radius is
-        # representable but the squared mesh spacing next to the hole is not
-        for eps in ("0.01", "0.09", "0.093"):
-            out = tmp_path / eps
+        # n = 2 at 0.01: the hole radius underflows; at 0.09 and 0.093 the
+        # radius is representable but the squared mesh spacing next to the
+        # hole is not.  n = 3 at 1e-300 and n = 4 at 1e-200: d eps^(n/(n-2))
+        # underflows to zero
+        for dim, eps in (("2", "0.01"), ("2", "0.09"), ("2", "0.093"), ("3", "1e-300"), ("4", "1e-200")):
+            out = tmp_path / f"{dim}-{eps}"
             code = main([
-                "cell-eigs", "--intervals", "1,2", "--dim", "2", "--eps", eps,
+                "cell-eigs", "--intervals", "1,2", "--dim", dim, "--eps", eps,
                 "--resolution", "128", "--out", str(out),
             ])
             assert code == 2, eps
