@@ -220,9 +220,9 @@ def build_cell_graph(
     target[:, :-1, 1] = idx[:, 1:]
     conductance = np.stack([fy, fx], axis=-1)
     source = np.broadcast_to(idx[..., None], target.shape)
-    live = (source >= 0) & (target >= 0)
-    edges = [np.stack([source[live], target[live]], axis=1)]
-    weights = [conductance[live]]
+    is_edge = (source >= 0) & (target >= 0)
+    edges = [np.stack([source[is_edge], target[is_edge]], axis=1)]
+    weights = [conductance[is_edge]]
 
     rings = [_hole_ring(idx, label, k, h, cx, cy) for k, (cx, cy, _, _) in enumerate(holes)]
     counts = [max(8, round((math.pi - math.asin(r / b)) * b / h)) for _, _, r, b in holes]
