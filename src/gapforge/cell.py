@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -240,11 +240,6 @@ def _gauss(
     return mid + half * nodes, half * weights
 
 
-def _gl_mesh_integrate(f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray) -> float:
-    x, wq = _gauss(mesh[:-1, None], mesh[1:, None], _GL_NODES, _GL_WEIGHTS)
-    return float(np.sum(wq * f(x)))
-
-
 def _cap_mesh(theta: float, density: int) -> np.ndarray:
     """Graded mesh on [theta, pi/2]: geometric where the profile is steep
     (at least density/12 nodes per decade), uniform once sin theta is order
@@ -265,22 +260,22 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     # resolved
     decades = math.log10(tf.r_outer / tf.d_eps)
     mesh_a = np.geomspace(tf.d_eps, tf.r_outer, max(int(4 * density), 16, int(density * decades / 12)))
+    r, wq = _gauss(mesh_a[:-1, None], mesh_a[1:, None], _GL_NODES, _GL_WEIGHTS)
     # weight before squaring: next to an n = 2 hole below about 1e-154 the
     # gradient itself squares past the float range
-    num_ann = _gl_mesh_integrate(lambda r: (tf.annulus_grad(r) * r ** ((n - 1) / 2)) ** 2, mesh_a)
-    den_ann = _gl_mesh_integrate(lambda r: tf.annulus_value(r) ** 2 * r ** (n - 1), mesh_a)
+    num_ann = float(np.sum(wq * (tf.annulus_grad(r) * r ** ((n - 1) / 2)) ** 2))
+    den_ann = float(np.sum(wq * (tf.annulus_value(r) ** 2 * r ** (n - 1))))
 
     # cap [theta, pi/2] with the cutoff-modified profile v = 1 + C F Phi
     mesh_c = _cap_mesh(tf.theta, density)
     x, wq = _gauss(mesh_c[:-1, None], mesh_c[1:, None], _GL_NODES, _GL_WEIGHTS)
+    s = np.sin(x)
     F_nodes = angular_integral_F(x, n)
-    sin_pow = np.sin(x) ** (n - 1)
     phi = cutoff_profile(x)
-    dphi = cutoff_profile_deriv(x)
-    dv = tf.C * (np.sin(x) ** (1 - n) * phi + F_nodes * dphi)
+    dv = tf.C * (s ** (1 - n) * phi + F_nodes * cutoff_profile_deriv(x))
     v = 1.0 + tf.C * F_nodes * phi
-    num_cap = float(np.sum(wq * (dv * np.sin(x) ** ((n - 1) / 2)) ** 2))
-    den_cap = float(np.sum(wq * v**2 * sin_pow))
+    num_cap = float(np.sum(wq * (dv * s ** ((n - 1) / 2)) ** 2))
+    den_cap = float(np.sum(wq * v**2 * s ** (n - 1)))
 
     # tail [pi/2, pi] where v == 1: half of int_0^pi sin^(n-1) = omega_n / omega_{n-1}
     w = sphere_measure(n - 1)
@@ -546,15 +541,6 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def richardson_lambda1(lam_coarse: float, lam_fine: float) -> tuple[float, float]:
-    """Richardson pair of first eigenvalues at (N, 2N) nodes per segment:
-    extrapolated limit and the observed |lambda(2N) - lambda(N)| as an
-    error gauge (the scheme is second order, so the extrapolation removes
-    the h^2 term), as Python floats."""
-    lam_coarse, lam_fine = float(lam_coarse), float(lam_fine)
-    return lam_fine + (lam_fine - lam_coarse) / 3.0, abs(lam_fine - lam_coarse)
-
-
 # ---------------------------------------------------------------------------
 # reference limits and the convergence table
 
@@ -577,17 +563,42 @@ def reference_limits(base: BubbleGeometry, j: int) -> ReferenceLimits:
     return ReferenceLimits(float(disk), lam2_sphere, float(min(disk, lam2_sphere)))
 
 
+# allowance of the min-max check lambda1 (mesh limit) <= Rayleigh bound
+MIN_MAX_SLACK = 1e-10
+
+
 @dataclass(frozen=True)
-class ConvergenceRow:
+class RadialRow:
+    """Channel j of one eps-cell at (N, 2N) nodes per segment: the first k
+    eigenvalues at N, the Richardson limit of lambda1 with its gauge
+    |lambda1(2N) - lambda1(N)|, lambda2 at 2N and the Rayleigh bound."""
+
     eps: float
+    eigenvalues: tuple[float, ...]
     lambda1: float
+    mesh_gauge: float
     lambda2: float
     rayleigh_upper: float
-    eps2_lambda2: float
-    sigma_target: float
-    Lj_lambda2: float
-    resolution: int
-    mesh_gauge: float  # |lambda1(2N) - lambda1(N)|; not written to the CSV
+
+    @property
+    def bounded(self) -> bool:
+        """The min-max verdict: the mesh limit does not exceed the bound."""
+        return self.lambda1 <= self.rayleigh_upper + MIN_MAX_SLACK
+
+
+def radial_row(geom: EpsGeometry, j: int, resolution: int, k: int) -> RadialRow:
+    """Solve channel j of ``geom`` at N = resolution (k eigenvalues) and 2N
+    (two).  lambda1 is the Richardson mesh limit over (N, 2N): the scheme
+    is second order, so the extrapolation removes the h^2 term, while the
+    raw discrete value approaches the eigenvalue from above and would mask
+    the min-max margin once it shrinks below the mesh error.  lambda1 of a
+    k = 2 solve is the k = 1 value to within the certified window (bit for
+    bit on every cell measured)."""
+    coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), k).tolist()
+    fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2).tolist()
+    lam1 = fine[0] + (fine[0] - coarse[0]) / 3.0
+    gauge = abs(fine[0] - coarse[0])
+    return RadialRow(geom.eps, tuple(coarse), lam1, gauge, fine[1], trial_rayleigh(geom, j).quotient)
 
 
 def convergence_table(
@@ -595,41 +606,11 @@ def convergence_table(
     j: int,
     eps_list: Sequence[float],
     resolution: int = 384,
-) -> list[ConvergenceRow]:
-    """Per-epsilon cell eigenvalues against their limits: lambda1 -> sigma_j
-    and eps^2 lambda2 -> lambda2 of the rescaled limit cell (zonal modes).
-
-    lambda1 is the Richardson mesh limit over (resolution, 2*resolution);
-    the raw discrete value approaches the eigenvalue from above and would
-    mask the min-max margin once it shrinks below the mesh error.
-    """
+) -> list[RadialRow]:
+    """Rows of channel j along a strictly decreasing eps ladder: lambda1
+    tends to sigma_j and eps^2 lambda2 to lambda2 of the rescaled limit
+    cell (zonal modes)."""
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
         raise GeometryError("eps_list must be strictly decreasing")
-    d_j, b_j = base.channels[j]
-    sigma_target, _ = channel_sigma_rho(base.n, d_j, b_j)
-    ref = reference_limits(base, j)
-    rows = []
-    for eps in eps_list:
-        geom = eps_scale(base, eps)
-        # one solve per cell: lambda1 of a k = 2 solve is the k = 1 value to
-        # within the certified window (bit for bit on every cell measured)
-        coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), 1)
-        fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2)
-        lam1, gauge = richardson_lambda1(coarse[0], fine[0])
-        lam2 = float(fine[1])
-        bound = trial_rayleigh(geom, j)
-        rows.append(
-            ConvergenceRow(
-                eps=eps,
-                lambda1=lam1,
-                lambda2=lam2,
-                rayleigh_upper=bound.quotient,
-                eps2_lambda2=float(eps * eps * lam2),
-                sigma_target=sigma_target,
-                Lj_lambda2=ref.Lj_lambda2,
-                resolution=resolution,
-                mesh_gauge=gauge,
-            )
-        )
-    return rows
+    return [radial_row(eps_scale(base, eps), j, resolution, 1) for eps in eps_list]

@@ -21,23 +21,13 @@ from typing import Any, Iterable, Sequence
 
 from ._fmt import csv_lines, dumps_json
 from .bands import BandStructure, GridSpec, band_structure, build_cell_graph, detect_gaps
-from .cell import (
-    build_radial_cell,
-    convergence_table,
-    eps_scale,
-    junction_flux,
-    radial_eigenvalues,
-    richardson_lambda1,
-    trial_rayleigh,
-)
+from .cell import convergence_table, eps_scale, junction_flux, radial_row, reference_limits
 from .design import HomogenizedModel, design_geometry, solve_weight_system, weights_closed_form
 from .dispersion import limit_spectrum, mu_roots, sample_curve
 from .errors import ConfigError, GapForgeError
 from .intervals import gap_match_report, validate_gap_spec
 
 COMMANDS = ("design", "dispersion", "limit-spectrum", "cell-eigs", "convergence", "bands", "verify")
-# allowance of the min-max check lambda1 (mesh limit) <= Rayleigh bound
-MIN_MAX_SLACK = 1e-10
 # most dispersion curve samples (about a 60 MB CSV), radial nodes, cell
 # eigenvalues and bands; the grid sides, whose cost grows with the square,
 # stop at its square root
@@ -298,34 +288,33 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
     j = _channel(cfg, spec.m)
     eps = cfg.eps if cfg.eps is not None else cfg.eps_list[-1]
     geom = eps_scale(geom_base, eps)
-    lam = radial_eigenvalues(build_radial_cell(geom, j, cfg.resolution), cfg.num_eigs)
-    lam_fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * cfg.resolution), 1)
-    lam1_limit, gauge = richardson_lambda1(lam[0], lam_fine[0])
-    bound = trial_rayleigh(geom, j)
-    flux = junction_flux(geom, j)
+    row = radial_row(geom, j, cfg.resolution, cfg.num_eigs)
     payload = {
         "eps": eps,
         "channel": j,
         "sigma_target": model.sigma[j],
-        "eigenvalues": [float(v) for v in lam],
-        "lambda1_mesh_limit": lam1_limit,
-        "mesh_gauge": gauge,
-        "rayleigh_upper": bound.quotient,
-        "flux_ratio": flux.ratio,
+        "eigenvalues": list(row.eigenvalues),
+        "lambda1_mesh_limit": row.lambda1,
+        "mesh_gauge": row.mesh_gauge,
+        "rayleigh_upper": row.rayleigh_upper,
+        "flux_ratio": junction_flux(geom, j).ratio,
         "resolution": cfg.resolution,
     }
     path = _write(cfg.out, "cell_eigs.json", dumps_json(payload))
-    bounded = lam1_limit <= bound.quotient + MIN_MAX_SLACK
-    return Report("pass" if bounded else "fail", [{"name": "cell-eigs", "pass": bounded}], [path])
+    return Report("pass" if row.bounded else "fail", [{"name": "cell-eigs", "pass": row.bounded}], [path])
 
 
 def _run_convergence(cfg: RunConfig) -> Report:
     spec = _spec_from_config(cfg)
-    geom_base, _ = design_geometry(spec, cfg.kappa)
-    rows = convergence_table(geom_base, _channel(cfg, spec.m), cfg.eps_list, cfg.resolution)
+    geom_base, model = design_geometry(spec, cfg.kappa)
+    j = _channel(cfg, spec.m)
+    Lj = reference_limits(geom_base, j).Lj_lambda2
+    rows = convergence_table(geom_base, j, cfg.eps_list, cfg.resolution)
     header = ["eps", "lambda1", "lambda2", "rayleigh_upper", "eps2_lambda2", "sigma_target",
               "Lj_lambda2", "resolution"]
-    path = _write_csv(cfg, "convergence.csv", header, ([getattr(r, name) for name in header] for r in rows))
+    table = ([r.eps, r.lambda1, r.lambda2, r.rayleigh_upper, r.eps * r.eps * r.lambda2, model.sigma[j], Lj,
+              cfg.resolution] for r in rows)
+    path = _write_csv(cfg, "convergence.csv", header, table)
     return Report("pass", [{"name": "convergence", "pass": True}], [path])
 
 
@@ -393,11 +382,12 @@ def _run_verify(cfg: RunConfig) -> Report:
     ]
 
     if cfg.with_convergence:
-        rows = convergence_table(geom_base, _channel(cfg, spec.m), cfg.eps_list, cfg.resolution)
-        sigma_t = rows[0].sigma_target
-        errs = [abs(r.lambda1 - sigma_t) / sigma_t for r in rows]
+        j = _channel(cfg, spec.m)
+        sigma = model.sigma[j]
+        rows = convergence_table(geom_base, j, cfg.eps_list, cfg.resolution)
+        errs = [abs(r.lambda1 - sigma) / sigma for r in rows]
         monotone = all(b < a for a, b in zip(errs[:-1], errs[1:]))
-        bounded = all(r.lambda1 <= r.rayleigh_upper + MIN_MAX_SLACK for r in rows)
+        bounded = all(r.bounded for r in rows)
         checks.append(
             {
                 "name": "cell_convergence",

@@ -75,6 +75,8 @@ class HomogenizedModel:
     rho: tuple[float, ...]
 
     def __post_init__(self):
+        if int(self.n) != self.n or self.n < 2:
+            raise GeometryError(f"dimension n={self.n} must be an integer >= 2")
         if len(self.sigma) != len(self.rho):
             raise GeometryError("sigma and rho must have equal length")
         if not all(math.isfinite(v) for v in (*self.sigma, *self.rho)):

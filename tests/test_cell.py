@@ -15,8 +15,8 @@ from gapforge.cell import (
     eps_scale,
     junction_flux,
     radial_eigenvalues,
+    radial_row,
     reference_limits,
-    richardson_lambda1,
     trial_constants,
     trial_rayleigh,
 )
@@ -36,12 +36,6 @@ def designed_geometry(n=3, kappa=0.5):
     spec = validate_gap_spec([(1, 2)], n)
     geom, model = design_geometry(spec, kappa)
     return geom, model
-
-
-def mesh_limit_lambda1(geom, resolution):
-    """Richardson limit and gauge of channel 0 over (resolution, 2 * resolution)."""
-    lams = [radial_eigenvalues(build_radial_cell(geom, 0, r), 1)[0] for r in (resolution, 2 * resolution)]
-    return richardson_lambda1(*lams)
 
 
 class TestEpsScale:
@@ -180,8 +174,7 @@ class TestRayleighAndFlux:
         for eps in (0.2, 0.1, 0.05):
             geom = eps_scale(base, eps)
             bound = trial_rayleigh(geom, 0)
-            lam1, _ = mesh_limit_lambda1(geom, 256)
-            assert bound.quotient >= lam1 - 1e-10
+            assert bound.quotient >= radial_row(geom, 0, 256, 1).lambda1 - 1e-10
 
     def test_asymptotic_ratios(self):
         base, model = designed_geometry()
@@ -258,8 +251,7 @@ class TestRadialEigenvalues:
         base, model = designed_geometry()
         errs = []
         for eps in (0.2, 0.1, 0.05):
-            lam1, _ = mesh_limit_lambda1(eps_scale(base, eps), 256)
-            errs.append(abs(lam1 - model.sigma[0]))
+            errs.append(abs(radial_row(eps_scale(base, eps), 0, 256, 1).lambda1 - model.sigma[0]))
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
     def test_second_order_in_mesh(self):
@@ -362,6 +354,8 @@ class TestRadialEngine:
         got = radial_eigenvalues(cell, k)
         ref = reference_radial_eigenvalues(cell, k)
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        # lambda1 does not depend on k: radial_row reads it from a k = 2 solve
+        assert radial_eigenvalues(cell, 1)[0] == got[0]
 
     @pytest.mark.parametrize("label,cell,k", ORACLE_CELLS, ids=[c[0] for c in ORACLE_CELLS])
     def test_matches_exact_rayleigh_quotient(self, label, cell, k):
@@ -497,10 +491,10 @@ class TestConvergenceTable:
         assert [r.eps for r in rows] == [0.2, 0.1, 0.05]
         for r in rows:
             assert r.lambda1 <= r.rayleigh_upper + 1e-10
-            assert r.sigma_target == pytest.approx(model.sigma[0], rel=1e-12)
-        errs = [abs(r.lambda1 - r.sigma_target) for r in rows]
+        errs = [abs(r.lambda1 - model.sigma[0]) for r in rows]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
-        devs = [abs(r.eps2_lambda2 - r.Lj_lambda2) / r.Lj_lambda2 for r in rows]
+        Lj = reference_limits(base, 0).Lj_lambda2
+        devs = [abs(r.eps * r.eps * r.lambda2 - Lj) / Lj for r in rows]
         assert devs[-1] < 0.05
 
     def test_requires_decreasing_eps(self):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapforge.cli import MIN_MAX_SLACK, RunConfig, _write, load_config, main, run_pipeline
+from gapforge.cell import MIN_MAX_SLACK
+from gapforge.cli import RunConfig, _write, load_config, main, run_pipeline
 from gapforge.errors import ConfigError
 
 
@@ -151,6 +152,18 @@ class TestCommands:
         assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
         assert len(lines) == 3
 
+    def test_cell_eigs_agrees_with_convergence_row(self, tmp_path):
+        # both commands read one radial record per eps
+        common = ["--intervals", "1,2", "--dim", "3", "--resolution", "128"]
+        assert main(["cell-eigs", *common, "--eps", "0.1", "--out", str(tmp_path)]) == 0
+        assert main(["convergence", *common, "--eps-list", "0.2,0.1", "--out", str(tmp_path)]) == 0
+        doc = json.loads(read(tmp_path / "cell_eigs.json"))
+        header, _, last = read(tmp_path / "convergence.csv").strip().splitlines()
+        row = dict(zip(header.split(","), map(float, last.split(","))))
+        assert row["eps"] == doc["eps"] == 0.1
+        assert doc["lambda1_mesh_limit"] == row["lambda1"]
+        assert doc["rayleigh_upper"] == row["rayleigh_upper"]
+
     def test_bands_demo(self, tmp_path):
         cfg_path = tmp_path / "bands.json.cfg"
         cfg_path.write_text(json.dumps({
@@ -284,6 +297,10 @@ BAD_ARGS = [
     pytest.param(None, ["limit-spectrum", "--intervals", "1,2", "--dim", "400"], id="dim-400-limit-spectrum"),
     pytest.param(None, ["verify", "--intervals", "1,2", "--dim", "400"], id="dim-400-verify"),
     pytest.param(None, ["cell-eigs", "--intervals", "1,2", "--dim", "400"], id="dim-400-cell-eigs"),
+    # the direct model needs a dimension as the designed one does
+    pytest.param(None, ["dispersion", "--sigma", "1", "--rho", "1", "--dim", "0"], id="dim-0-dispersion"),
+    pytest.param(None, ["limit-spectrum", "--sigma", "1", "--rho", "1", "--dim", "-5"],
+                 id="dim-negative-limit-spectrum"),
 ]
 
 

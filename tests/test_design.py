@@ -154,6 +154,10 @@ class TestHomogenizedModel:
         with pytest.raises(GeometryError):
             HomogenizedModel(3, (1.0,), (0.0,))
 
+    def test_requires_dimension_at_least_two(self):
+        with pytest.raises(GeometryError, match="dimension n=1"):
+            HomogenizedModel(1, (1.0,), (1.0,))
+
     @pytest.mark.parametrize("sigma, rho", [
         ((math.nan,), (1.0,)),
         ((math.inf,), (1.0,)),
