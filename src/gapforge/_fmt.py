@@ -11,7 +11,6 @@ from typing import Any, Iterable, Sequence
 
 
 def fmt_real(x: float) -> str:
-    x = float(x)
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -54,35 +53,20 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _cell(v: Any) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return fmt_real(v)
-    return str(v)
-
-
-# the %-conversion of each cell type that prints the bytes of _cell, NaN and
-# infinities aside
-_CONVERSIONS = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
-
-
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[str]:
-    """Header plus one line per row of Python scalars: bools as 1/0.
+    """Header plus one line per row of reals, bools and ints.
 
-    A row is formatted with one %-template per sequence of cell types; a
-    row with another type, or whose line holds an "n" (from nan or inf),
-    goes through ``_cell`` one cell at a time."""
-    templates: dict[tuple[type, ...], str | None] = {}
+    Every cell goes through "%.17g": a bool prints as 1/0 and an int below
+    2**53 as its digits.  A line holding nan or an infinity is respelled
+    NaN, Infinity, as ``fmt_real`` writes them."""
+    templates: dict[int, str] = {}
     lines = [",".join(header)]
     for row in rows:
-        types = tuple(map(type, row))
-        if types not in templates:
-            specs = [_CONVERSIONS.get(t) for t in types]
-            templates[types] = None if None in specs else ",".join(specs)
-        template = templates[types]
-        line = template % tuple(row) if template is not None else None
-        if line is None or "n" in line:
-            line = ",".join(map(_cell, row))
+        template = templates.get(len(row))
+        if template is None:
+            template = templates[len(row)] = ",".join(["%.17g"] * len(row))
+        line = template % tuple(row)
+        if "n" in line:
+            line = line.replace("nan", "NaN").replace("inf", "Infinity")
         lines.append(line)
     return lines

@@ -22,10 +22,10 @@ from typing import Any, Iterable, Sequence
 from ._fmt import csv_lines, dumps_json
 from .bands import BandStructure, GridSpec, band_structure, build_cell_graph, detect_gaps
 from .cell import convergence_table, eps_scale, junction_flux, radial_row, reference_limits
-from .design import HomogenizedModel, design_geometry, solve_weight_system, weights_closed_form
+from .design import BubbleGeometry, HomogenizedModel, design_geometry, solve_weight_system, weights_closed_form
 from .dispersion import limit_spectrum, mu_roots, sample_curve
 from .errors import ConfigError, GapForgeError
-from .intervals import gap_match_report, validate_gap_spec
+from .intervals import MatchReport, gap_match_report, validate_gap_spec
 
 COMMANDS = ("design", "dispersion", "limit-spectrum", "cell-eigs", "convergence", "bands", "verify")
 # most dispersion curve samples (about a 60 MB CSV), radial nodes, cell
@@ -200,7 +200,17 @@ def _model_from_config(cfg: RunConfig) -> HomogenizedModel:
 
 
 def _model_json(model: HomogenizedModel, mu: tuple[float, ...]) -> dict:
-    return {"n": model.n, "sigma": list(model.sigma), "rho": list(model.rho), "mu": list(mu)}
+    return {"n": model.n, "sigma": model.sigma, "rho": model.rho, "mu": mu}
+
+
+def _geometry_json(geom: BubbleGeometry) -> dict:
+    d, b = zip(*geom.channels)
+    return {"n": geom.n, "d": d, "b": b, "kappa": geom.kappa}
+
+
+def _match_json(match: MatchReport) -> dict:
+    per_gap = [{"target": g.target, "computed": g.computed, "edge_error": g.edge_error} for g in match.per_gap]
+    return {"pass": match.passed, "per_gap": per_gap, "extra_gaps": match.extra_gaps}
 
 
 def _write(out: str, name: str, text: str) -> str:
@@ -221,13 +231,12 @@ def _write_csv(cfg: RunConfig, name: str, header: Sequence[str], rows: Iterable[
 
 @dataclass
 class Report:
-    status: str
     checks: list[dict]
     artifacts: list[str]
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status == "pass" else 1
+        return 0 if all(c["pass"] for c in self.checks) else 1
 
 
 def run_pipeline(cfg: RunConfig) -> Report:
@@ -248,14 +257,14 @@ def _run_design(cfg: RunConfig) -> Report:
     geom, model = design_geometry(spec, cfg.kappa)
     mu = mu_roots(model)
     payload = {
-        "targets": spec.targets.to_json(),
+        "targets": spec.targets.intervals,
         "n": spec.n,
-        "geometry": geom.to_json(),
+        "geometry": _geometry_json(geom),
         "model": _model_json(model, mu),
-        "mu": list(mu),
+        "mu": mu,
     }
     path = _write(cfg.out, "design.json", dumps_json(payload))
-    return Report("pass", [{"name": "design", "pass": True}], [path])
+    return Report([{"name": "design", "pass": True}], [path])
 
 
 def _run_dispersion(cfg: RunConfig) -> Report:
@@ -264,7 +273,7 @@ def _run_dispersion(cfg: RunConfig) -> Report:
     rng = cfg.range or [0.0, 1.5 * mu[-1] if mu else 10.0]
     samples = sample_curve(model, (float(rng[0]), float(rng[1])), cfg.count)
     path = _write_csv(cfg, "dispersion.csv", ["lambda", "value", "pole_adjacent"], samples)
-    return Report("pass", [{"name": "dispersion", "pass": True}], [path])
+    return Report([{"name": "dispersion", "pass": True}], [path])
 
 
 def _run_limit_spectrum(cfg: RunConfig) -> Report:
@@ -275,11 +284,11 @@ def _run_limit_spectrum(cfg: RunConfig) -> Report:
     payload = {
         "model": _model_json(model, mu),
         "L": L,
-        "bands": bands_set.to_json(),
-        "gaps": gaps.to_json(),
+        "bands": bands_set.intervals,
+        "gaps": gaps.intervals,
     }
     path = _write(cfg.out, "limit_spectrum.json", dumps_json(payload))
-    return Report("pass", [{"name": "limit-spectrum", "pass": True}], [path])
+    return Report([{"name": "limit-spectrum", "pass": True}], [path])
 
 
 def _run_cell_eigs(cfg: RunConfig) -> Report:
@@ -293,7 +302,7 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
         "eps": eps,
         "channel": j,
         "sigma_target": model.sigma[j],
-        "eigenvalues": list(row.eigenvalues),
+        "eigenvalues": row.eigenvalues,
         "lambda1_mesh_limit": row.lambda1,
         "mesh_gauge": row.mesh_gauge,
         "rayleigh_upper": row.rayleigh_upper,
@@ -301,7 +310,7 @@ def _run_cell_eigs(cfg: RunConfig) -> Report:
         "resolution": cfg.resolution,
     }
     path = _write(cfg.out, "cell_eigs.json", dumps_json(payload))
-    return Report("pass" if row.bounded else "fail", [{"name": "cell-eigs", "pass": row.bounded}], [path])
+    return Report([{"name": "cell-eigs", "pass": row.bounded}], [path])
 
 
 def _run_convergence(cfg: RunConfig) -> Report:
@@ -315,7 +324,7 @@ def _run_convergence(cfg: RunConfig) -> Report:
     table = ([r.eps, r.lambda1, r.lambda2, r.rayleigh_upper, r.eps * r.eps * r.lambda2, model.sigma[j], Lj,
               cfg.resolution] for r in rows)
     path = _write_csv(cfg, "convergence.csv", header, table)
-    return Report("pass", [{"name": "convergence", "pass": True}], [path])
+    return Report([{"name": "convergence", "pass": True}], [path])
 
 
 def _band_structure(cfg: RunConfig) -> BandStructure:
@@ -338,13 +347,13 @@ def _run_bands(cfg: RunConfig) -> Report:
         rows.extend([ti, *args, kk, lam] for kk, lam in enumerate(lams, start=1))
     csv_path = _write_csv(cfg, "bands.csv", header, rows)
     payload = {
-        "bands": [list(b) for b in bs.bands],
-        "gaps": gaps.to_json(),
+        "bands": bs.bands,
+        "gaps": gaps.intervals,
         "L": L,
         "theta_grid": cfg.theta_grid,
     }
     json_path = _write(cfg.out, "bands.json", dumps_json(payload))
-    return Report("pass", [{"name": "bands", "pass": True}], [csv_path, json_path])
+    return Report([{"name": "bands", "pass": True}], [csv_path, json_path])
 
 
 def _run_verify(cfg: RunConfig) -> Report:
@@ -377,7 +386,7 @@ def _run_verify(cfg: RunConfig) -> Report:
         {
             "name": "gap_match",
             "pass": match.passed,
-            "detail": match.to_json(),
+            "detail": _match_json(match),
         },
     ]
 
@@ -402,25 +411,25 @@ def _run_verify(cfg: RunConfig) -> Report:
             {
                 "name": "bands_gap_detected",
                 "pass": len(gaps_bands) >= 1,
-                "detail": {"gaps": gaps_bands.to_json()},
+                "detail": {"gaps": gaps_bands.intervals},
             }
         )
 
     all_pass = all(c["pass"] for c in checks)
     payload = {
         "status": "pass" if all_pass else "fail",
-        "targets": spec.targets.to_json(),
+        "targets": spec.targets.intervals,
         "n": spec.n,
         "delta": spec.delta,
         "L": L,
-        "geometry": geom_base.to_json(),
+        "geometry": _geometry_json(geom_base),
         "model": _model_json(model, mu),
-        "bands": bands_set.to_json(),
-        "gaps": gaps.to_json(),
+        "bands": bands_set.intervals,
+        "gaps": gaps.intervals,
         "checks": checks,
     }
     path = _write(cfg.out, "verify.json", dumps_json(payload))
-    return Report("pass" if all_pass else "fail", checks, [path])
+    return Report(checks, [path])
 
 
 def _parse_intervals(text: str) -> list[list[float]]:

@@ -4,6 +4,7 @@ from target gaps to bubble radii.
 Conventions: ``sphere_measure(k)`` is the k-dimensional Riemannian volume of
 the unit k-sphere (the surface of the unit ball in (k+1)-space); a channel
 is a (d_j, b_j) pair driving one hole/bubble family.
+Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ class BubbleGeometry:
     @property
     def m(self) -> int:
         return len(self.channels)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": [d for d, _ in self.channels],
-            "b": [b for _, b in self.channels],
-            "kappa": self.kappa,
-        }
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 An :class:`IntervalSet` is an ordered tuple of disjoint open intervals on
 [0, inf).  The same container doubles as a description of closed unions
 (bands): operations that need the closed reading say so explicitly.
+Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class IntervalSet:
         """Union of the closures; touching intervals (gap <= ENDPOINT_TOL)
         are coalesced."""
         return IntervalSet(_merge_closed(self.intervals))
-
-    def to_json(self) -> list[list[float]]:
-        return [[lo, hi] for lo, hi in self.intervals]
 
 
 @dataclass(frozen=True)
@@ -213,20 +211,6 @@ class MatchReport:
     per_gap: tuple[GapMatch, ...]
     extra_gaps: tuple[tuple[float, float], ...]
     extra_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "per_gap": [
-                {
-                    "target": list(g.target),
-                    "computed": list(g.computed) if g.computed is not None else None,
-                    "edge_error": g.edge_error,
-                }
-                for g in self.per_gap
-            ],
-            "extra_gaps": [list(g) for g in self.extra_gaps],
-        }
 
 
 def gap_match_report(computed_gaps: Iterable[Sequence[float]], spec: GapSpec) -> MatchReport:

@@ -2,12 +2,11 @@
 formatting they replace."""
 
 import math
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gapforge._fmt import csv_lines, fmt_real
+from gapforge.cli import MAX_COUNT
 from gapforge.design import HomogenizedModel
 from gapforge.dispersion import sample_curve
 
@@ -29,9 +28,14 @@ ROWS = [
     pytest.param([(1, 2.5, False), (2.5, 1, True), (3, 4, 5), (0.5, 0.25, 0.125)], id="int-float-swapped"),
     pytest.param([(True, 1), (1, True), (1.0, True), (True, 1.0)], id="bool-int-float"),
     pytest.param([(5e-324, 1e308, 1e16), (1e21, 1e-5, 123456789012345678.0)], id="exponents"),
-    pytest.param([("a", 1.5), ("nan", 2.5), ("x%dy", 3)], id="strings"),
-    pytest.param([(np.float64(0.1), np.int64(3), np.bool_(True)), (Fraction(1, 3), 0.1, 2)], id="other-types"),
-    pytest.param([(), (10**30, -7)], id="empty-and-big-int"),
+    # the three row shapes the commands write: dispersion (lambda, value,
+    # pole flag), convergence (reals, then the resolution) and bands (theta
+    # index, character angles, band index, eigenvalue)
+    pytest.param([(0.5, -1.25, False), (1.0, math.nan, True), (1.0000001, math.inf, True)], id="dispersion"),
+    pytest.param([(0.2, 1.0168, 2.08, 1.02, 0.0832, 1.0, 21.9, 384),
+                  (0.1, math.inf, -math.inf, 1.0, 0.5, 1.0, 21.9, MAX_COUNT)], id="convergence"),
+    pytest.param([(0, 0.0, -math.pi, 1, 1.2861), (15, math.pi, -0.0, 12, 31.5)], id="bands"),
+    pytest.param([(), (MAX_COUNT, 0)], id="empty-and-max-count"),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gapforge.cli import _match_json
 from gapforge.errors import GapSpecError, IntervalError
 from gapforge.intervals import (
     IntervalSet,
@@ -40,10 +41,6 @@ class TestIntervalSet:
     def test_inner_interval_cannot_be_unbounded(self):
         with pytest.raises(IntervalError):
             IntervalSet(((0.0, math.inf), (5.0, 6.0)))
-
-    def test_json_round_shape(self):
-        s = IntervalSet(((0.5, 1.0),))
-        assert s.to_json() == [[0.5, 1.0]]
 
 
 class TestValidateGapSpec:
@@ -219,9 +216,9 @@ class TestGapMatch:
 
     def test_json_shape(self):
         spec = validate_gap_spec([(1, 2)], 3, delta=0.1, horizon=50)
-        doc = gap_match_report([(1.0, 2.05)], spec).to_json()
+        doc = _match_json(gap_match_report([(1.0, 2.05)], spec))
         assert set(doc) == {"pass", "per_gap", "extra_gaps"}
-        assert doc["per_gap"][0]["target"] == [1.0, 2.0]
+        assert doc["per_gap"][0]["target"] == (1.0, 2.0)
         assert doc["per_gap"][0]["edge_error"] == pytest.approx(0.05)
 
 
