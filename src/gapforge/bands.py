@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GapForgeError, GeometryError, ResolutionError
+from .errors import GapForgeError, GeometryError, ResolutionError, ScaleError
 from .intervals import IntervalSet, complement_on
 
 DENSE_LIMIT = 256  # measured dense/sparse crossover; see README "Band solver"
@@ -74,10 +75,11 @@ class PeriodCellGraph:
         return len(self.masses)
 
     def validate(self) -> None:
-        if np.any(self.masses <= 0):
-            raise GeometryError("all vertex masses must be positive")
-        if np.any(self.weights <= 0):
-            raise GeometryError("all edge weights must be positive")
+        # inf passes a test for <= 0, and so does nan
+        if not np.all((self.masses > 0) & np.isfinite(self.masses)):
+            raise GeometryError("all vertex masses must be positive and finite")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise GeometryError("all edge weights must be positive and finite")
         for d in range(1, self.ndim + 1):
             pairs = [(a, b) for a, b, dd in self.boundary_pairs if dd == d]
             if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
@@ -191,6 +193,14 @@ def build_cell_graph(
             cx2, cy2, r2, _ = holes[k2]
             if math.hypot(cx - cx2, cy - cy2) <= r + r2:
                 raise GeometryError(f"holes {k2} and {i} violate the separation condition")
+    # masses scale as h^2 and sum to the area of the cell and its bubbles;
+    # the pencil's entries scale as 1/h^2 (4/h^2 on the flat grid's
+    # diagonal), kept a factor 4 below the largest float
+    area = cell_size * cell_size + sum(4.0 * math.pi * b * b for *_, b in holes)
+    if not (math.isfinite(area) and h * h > 16.0 / sys.float_info.max):
+        raise ScaleError(
+            f"cell_size {cell_size} with {N} grid cells per side leaves the float range; rescale cell_size"
+        )
 
     # each grid point gets the index of the hole that contains it, or -1.
     # Only points near a hole are tested, with math.hypot: numpy's hypot
@@ -391,24 +401,61 @@ def _one_blas_thread():
             put(n)
 
 
-def _symmetric_lu(K: sp.csr_matrix, M: np.ndarray, shift: float):
+def _shifted(K: sp.csc_matrix, M: np.ndarray, shift: float) -> sp.csc_matrix:
+    """K - shift M as a copy of the CSC matrix K with shift M subtracted on
+    its stored diagonal: the arithmetic of K - shift * sp.diags(M), which
+    also serves when K lacks a diagonal entry or one cancels to zero (the
+    sparse subtraction drops it)."""
+    col = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    diagonal = np.flatnonzero(K.indices == col)
+    if len(diagonal) == K.shape[0]:
+        A = K.copy()
+        A.data[diagonal] -= shift * M
+        if np.all(A.data[diagonal] != 0):
+            return A
+    return (K - shift * sp.diags(M)).tocsc()
+
+
+def _symmetric_lu(K: sp.spmatrix, M: np.ndarray, shift: float):
     """SuperLU factor of K - shift M with a symmetric fill-reducing ordering
-    and diagonal pivots, so U's diagonal is the D of an LDL^H factorization."""
+    and diagonal pivots, so U's diagonal is the D of an LDL^H factorization.
+    A CSC K is used as it is, any other format converted."""
     return spla.splu(
-        (K - shift * sp.diags(M)).tocsc(),
+        _shifted(K.tocsc(), M, shift),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
 
 
-def _count_below(K: sp.csr_matrix, M: np.ndarray, shift: float) -> int:
+def _count_below(K: sp.spmatrix, M: np.ndarray, shift: float) -> int:
     """Number of pencil eigenvalues below shift: the negative pivots of
-    K - shift M (Sylvester's law of inertia)."""
+    K - shift M (Sylvester's law of inertia).  Reading ``lu.U`` builds L and
+    U as CSC copies; they go with the factor before this returns."""
     lu = _symmetric_lu(K, M, shift)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise GapForgeError("inertia count needs a symmetric permutation")
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _shift_invert_pass(K, M, sigma, basis, v0, want):
+    """(nu, vectors) of the ``want`` largest eigenvalues of the standard-form
+    operator x -> R (K - sigma M)^{-1} R x, R = sqrt(M), restricted to the
+    orthogonal complement of ``basis``.  The factor lives only for the call."""
+    lu = _symmetric_lu(K, M, sigma)
+    r = np.sqrt(M)
+    if basis.shape[1] == 0:
+        matvec = lambda x: r * lu.solve(r * x.ravel())
+    else:
+        Q = np.linalg.qr(basis)[0]
+
+        def deflate(x):
+            return x - Q @ (Q.conj().T @ x)
+
+        matvec = lambda x: deflate(r * lu.solve(r * deflate(x.ravel())))
+        v0 = deflate(v0)
+    op = spla.LinearOperator(K.shape, matvec=matvec, dtype=K.dtype)
+    return spla.eigsh(op, k=want, which="LA", v0=v0, tol=1e-10)
 
 
 @_one_blas_thread()
@@ -424,12 +471,15 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
 
     Dense ``eigh`` up to DENSE_LIMIT unknowns (and whenever k >= dim - 1).
     Above it, shift-invert Lanczos on the standard-form operator
-    x -> R (K - sigma M)^{-1} R x, R = sqrt(M), from one symmetric-ordered
+    x -> R (K - sigma M)^{-1} R x, R = sqrt(M), from a symmetric-ordered
     SuperLU factorization and a deterministic start vector; its largest
     eigenvalues nu give lambda = sigma + 1/nu.  Single-vector Lanczos can
     miss a copy of a multiple eigenvalue, so the count below lambda_k is
     certified by inertia; eigenvalues it shows missing are found by
-    re-running on the complement of the eigenvectors found so far.
+    re-running on the complement of the eigenvectors found so far.  At
+    most one factorization is alive at a time: the sigma factor goes when
+    Lanczos returns, before the count factors at the cut, and a re-run
+    factors at sigma again (the same matrix, so the same factor).
     """
     dim = K.shape[0]
     if k < 1 or k > dim:
@@ -441,25 +491,16 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
         A = K.toarray() * s[:, None] * s[None, :]
         vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
         return np.asarray(vals, dtype=float)
+    K = K.tocsc()
     scale = float(K.diagonal().real.sum() / M.sum())
     sigma = -1e-3 * scale - 1e-12
-    lu = _symmetric_lu(K, M, sigma)
-    r = np.sqrt(M)
     rng = np.random.default_rng(_EIGSH_SEED)
     v0 = rng.standard_normal(dim)
     nu = np.empty(0)
     vecs = np.empty((dim, 0), dtype=K.dtype)
     want = k
     for _ in range(1 + _MAX_DEFLATIONS):
-        Q = np.linalg.qr(vecs)[0]
-
-        def deflate(x, Q=Q):
-            return x - Q @ (Q.conj().T @ x)
-
-        op = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: deflate(r * lu.solve(r * deflate(x.ravel()))), dtype=K.dtype
-        )
-        nu_new, vecs_new = spla.eigsh(op, k=want, which="LA", v0=deflate(v0), tol=1e-10)
+        nu_new, vecs_new = _shift_invert_pass(K, M, sigma, vecs, v0, want)
         nu = np.concatenate([nu, nu_new])
         vecs = np.hstack([vecs, vecs_new])
         lam = np.sort(sigma + 1.0 / nu)[:k]

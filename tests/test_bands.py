@@ -443,6 +443,14 @@ class TestGraphStructure:
         with pytest.raises(GeometryError, match="direction 2 are not a bijection"):
             g.validate()
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_mass_rejected(self, bad):
+        # both pass a test for masses <= 0
+        g = path_graph(4, ((0, 3, 1),), 1)
+        g.masses[1] = bad
+        with pytest.raises(GeometryError, match="masses must be positive and finite"):
+            g.validate()
+
     def test_inconsistent_identifications_rejected(self):
         # 0 ~ 1 and 1 ~ 2 put 2 two steps from 0; (0, 2, 1) says one
         g = path_graph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)), 1)
@@ -561,6 +569,85 @@ class TestSparsePath:
         K, M = folded_matrices(g, theta)
         assert inertia_count(K, M, lam[11] * (1 - 1e-9)) < 12
         assert inertia_count(K, M, lam[11] * (1 + 1e-9)) >= 12
+
+    @pytest.mark.parametrize(
+        "graph_name, theta, passes",
+        [
+            ("demo_graph", (1j, -1.0 + 0.0j), 1),
+            # both cases of test_double_eigenvalue_kept: Lanczos finds both
+            # copies at (1, 1) and re-runs for the second at (-1, -1)
+            ("demo_graph", (1.0 + 0.0j, 1.0 + 0.0j), 1),
+            ("small_demo_graph", (-1.0 + 0.0j, -1.0 + 0.0j), 2),
+            ("demo_graph", (-1.0 + 0.0j, -1.0 + 0.0j), 2),
+        ],
+        ids=["complex", "double-found", "double-rerun-small", "double-rerun"],
+    )
+    def test_one_factorization_alive_at_a_time(self, monkeypatch, request, graph_name, theta, passes):
+        # SuperLU objects take no weak references: a proxy counts the live
+        # factors, and the count when each factorization starts must be 0
+        g = request.getfixturevalue(graph_name)
+        live = [0]
+        at_start = []
+        splu, eigsh = bands.spla.splu, bands.spla.eigsh
+
+        class Factor:
+            def __init__(self, lu):
+                self._lu = lu
+                live[0] += 1
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+            def __del__(self):
+                live[0] -= 1
+
+        def counting_splu(*args, **kwargs):
+            at_start.append(live[0])
+            return Factor(splu(*args, **kwargs))
+
+        calls = []
+
+        def counting_eigsh(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(bands.spla, "splu", counting_splu)
+        monkeypatch.setattr(bands.spla, "eigsh", counting_eigsh)
+        theta_spectrum(g, theta, 12)
+        # one sigma factor and one cut factor per Lanczos pass
+        assert len(at_start) == 2 * len(calls) and at_start == [0] * len(at_start)
+        assert live[0] == 0 and len(calls) == passes
+
+    @pytest.mark.parametrize("case", ["stored-diagonal", "missing-diagonal", "cancelling-diagonal"])
+    def test_shifted_matches_sparse_subtraction(self, case):
+        # the same pattern and bits as K - s * diags(M), which leaves out an
+        # entry that cancels to zero and stores one K lacks
+        K = folded_matrices(small_torus_graph(np.random.default_rng(5), n=4), (1j, -1.0 + 0.0j))[0].tocsc()
+        M = np.ones(K.shape[0])
+        shift = 0.7
+        if case == "missing-diagonal":
+            K[0, 0] = 0.0
+            K.eliminate_zeros()
+        elif case == "cancelling-diagonal":
+            shift = K[1, 1].real
+        got = bands._shifted(K, M, shift)
+        want = (K - shift * sp.diags(M)).tocsc()
+        assert want.nnz - K.nnz == {"stored-diagonal": 0, "missing-diagonal": 1, "cancelling-diagonal": -1}[case]
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "theta",
+        [(1.0 + 0.0j, -1.0 + 0.0j), (complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(2.5), math.sin(2.5)))],
+        ids=["real", "complex"],
+    )
+    def test_count_below_matches_dense_oracle(self, theta):
+        g = small_torus_graph(np.random.default_rng(2718), n=18)
+        assert g.fold_structure()[2] > DENSE_LIMIT
+        oracle = dense_folded_oracle(g, theta, 8)
+        cuts = [0.5 * oracle[0], *(0.5 * (oracle[:-1] + oracle[1:]))]
+        K, M = folded_matrices(g, theta)
+        assert [bands._count_below(K, M, x) for x in cuts] == [int(np.count_nonzero(oracle < x)) for x in cuts]
 
     def test_neumann_spectrum_certified_on_demo_cell(self, demo_graph):
         # lambda_11 = lambda_12 of the free cell is double as well

@@ -404,6 +404,31 @@ def test_bubble_vertex_limit(tmp_path, capsys, b, code):
         assert sorted(os.listdir(out)) == ["bands.csv", "bands.json"]
 
 
+# cells whose masses (about (cell_size / N)^2) or pencil entries (about their
+# inverse) leave the float range: exit 2 with an error file, before numpy
+# overflows (RuntimeWarning is an error here)
+@pytest.mark.parametrize(
+    "command, cell",
+    [
+        ("bands", {"cell_size": 1e160, "holes": [[0.5e160, 0.5e160, 0.2e160, 0.3e160]]}),
+        ("bands", {"cell_size": 1e160, "holes": []}),
+        ("bands", {"cell_size": 1e-160, "holes": [[0.5e-160, 0.5e-160, 0.2e-160, 0.3e-160]]}),
+        ("verify", {"cell_size": 1e160, "holes": [[0.5e160, 0.5e160, 0.2e160, 0.3e160]], "intervals": [[1, 2]],
+                    "with_bands": True}),
+    ],
+    ids=["huge-cell", "huge-cell-no-holes", "tiny-cell", "verify-huge-cell"],
+)
+def test_unrepresentable_cell_exits_2(tmp_path, capsys, command, cell):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": command, "base_resolution": 16, "theta_grid": 2, "num_bands": 2,
+                                    **cell}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "rescale cell_size" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == [f"{command}_error.json"]
+    assert json.loads(read(out / f"{command}_error.json"))["status"] == "error"
+
+
 # models whose poles lie far apart, or whose last root nears the largest float
 WIDE_ARGS = [
     pytest.param(["design", "--intervals", "1,2;1e300,2e300"], "design.json", id="design-1e300"),
