@@ -193,11 +193,11 @@ def build_cell_graph(
             cx2, cy2, r2, _ = holes[k2]
             if math.hypot(cx - cx2, cy - cy2) <= r + r2:
                 raise GeometryError(f"holes {k2} and {i} violate the separation condition")
-    # masses scale as h^2 and sum to the area of the cell and its bubbles;
-    # the pencil's entries scale as 1/h^2 (4/h^2 on the flat grid's
-    # diagonal), kept a factor 4 below the largest float
-    area = cell_size * cell_size + sum(4.0 * math.pi * b * b for *_, b in holes)
-    if not (math.isfinite(area) and h * h > 16.0 / sys.float_info.max):
+    # the grid's masses scale as h^2 and sum to cell_size^2; the pencil's
+    # entries scale as 1/h^2 (4/h^2 on the flat grid's diagonal), kept a
+    # factor 4 below the largest float.  A huge bubble radius is named by
+    # the MAX_BUBBLE_VERTICES check below.
+    if not (math.isfinite(cell_size * cell_size) and h * h > 16.0 / sys.float_info.max):
         raise ScaleError(
             f"cell_size {cell_size} with {N} grid cells per side leaves the float range; rescale cell_size"
         )
@@ -401,34 +401,18 @@ def _one_blas_thread():
             put(n)
 
 
-def _shifted(K: sp.csc_matrix, M: np.ndarray, shift: float) -> sp.csc_matrix:
-    """K - shift M as a copy of the CSC matrix K with shift M subtracted on
-    its stored diagonal: the arithmetic of K - shift * sp.diags(M), which
-    also serves when K lacks a diagonal entry or one cancels to zero (the
-    sparse subtraction drops it)."""
-    col = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-    diagonal = np.flatnonzero(K.indices == col)
-    if len(diagonal) == K.shape[0]:
-        A = K.copy()
-        A.data[diagonal] -= shift * M
-        if np.all(A.data[diagonal] != 0):
-            return A
-    return (K - shift * sp.diags(M)).tocsc()
-
-
-def _symmetric_lu(K: sp.spmatrix, M: np.ndarray, shift: float):
+def _symmetric_lu(K: sp.csr_matrix, M: np.ndarray, shift: float):
     """SuperLU factor of K - shift M with a symmetric fill-reducing ordering
-    and diagonal pivots, so U's diagonal is the D of an LDL^H factorization.
-    A CSC K is used as it is, any other format converted."""
+    and diagonal pivots, so U's diagonal is the D of an LDL^H factorization."""
     return spla.splu(
-        _shifted(K.tocsc(), M, shift),
+        (K - shift * sp.diags(M)).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
 
 
-def _count_below(K: sp.spmatrix, M: np.ndarray, shift: float) -> int:
+def _count_below(K: sp.csr_matrix, M: np.ndarray, shift: float) -> int:
     """Number of pencil eigenvalues below shift: the negative pivots of
     K - shift M (Sylvester's law of inertia).  Reading ``lu.U`` builds L and
     U as CSC copies; they go with the factor before this returns."""
@@ -444,18 +428,15 @@ def _shift_invert_pass(K, M, sigma, basis, v0, want):
     orthogonal complement of ``basis``.  The factor lives only for the call."""
     lu = _symmetric_lu(K, M, sigma)
     r = np.sqrt(M)
-    if basis.shape[1] == 0:
-        matvec = lambda x: r * lu.solve(r * x.ravel())
-    else:
-        Q = np.linalg.qr(basis)[0]
+    Q = np.linalg.qr(basis)[0]
 
-        def deflate(x):
-            return x - Q @ (Q.conj().T @ x)
+    def deflate(x):
+        return x - Q @ (Q.conj().T @ x)
 
-        matvec = lambda x: deflate(r * lu.solve(r * deflate(x.ravel())))
-        v0 = deflate(v0)
-    op = spla.LinearOperator(K.shape, matvec=matvec, dtype=K.dtype)
-    return spla.eigsh(op, k=want, which="LA", v0=v0, tol=1e-10)
+    op = spla.LinearOperator(
+        K.shape, matvec=lambda x: deflate(r * lu.solve(r * deflate(x.ravel()))), dtype=K.dtype
+    )
+    return spla.eigsh(op, k=want, which="LA", v0=deflate(v0), tol=1e-10)
 
 
 @_one_blas_thread()
@@ -491,7 +472,6 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
         A = K.toarray() * s[:, None] * s[None, :]
         vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
         return np.asarray(vals, dtype=float)
-    K = K.tocsc()
     scale = float(K.diagonal().real.sum() / M.sum())
     sigma = -1e-3 * scale - 1e-12
     rng = np.random.default_rng(_EIGSH_SEED)

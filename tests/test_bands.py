@@ -618,24 +618,6 @@ class TestSparsePath:
         assert len(at_start) == 2 * len(calls) and at_start == [0] * len(at_start)
         assert live[0] == 0 and len(calls) == passes
 
-    @pytest.mark.parametrize("case", ["stored-diagonal", "missing-diagonal", "cancelling-diagonal"])
-    def test_shifted_matches_sparse_subtraction(self, case):
-        # the same pattern and bits as K - s * diags(M), which leaves out an
-        # entry that cancels to zero and stores one K lacks
-        K = folded_matrices(small_torus_graph(np.random.default_rng(5), n=4), (1j, -1.0 + 0.0j))[0].tocsc()
-        M = np.ones(K.shape[0])
-        shift = 0.7
-        if case == "missing-diagonal":
-            K[0, 0] = 0.0
-            K.eliminate_zeros()
-        elif case == "cancelling-diagonal":
-            shift = K[1, 1].real
-        got = bands._shifted(K, M, shift)
-        want = (K - shift * sp.diags(M)).tocsc()
-        assert want.nnz - K.nnz == {"stored-diagonal": 0, "missing-diagonal": 1, "cancelling-diagonal": -1}[case]
-        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
-
     @pytest.mark.parametrize(
         "theta",
         [(1.0 + 0.0j, -1.0 + 0.0j), (complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(2.5), math.sin(2.5)))],

@@ -388,8 +388,9 @@ def test_write_new_file_mode_follows_umask(tmp_path):
     assert mode == os.stat(tmp_path / "reference.json").st_mode & 0o777 == 0o640
 
 
-# a bubble of radius 1e5 needs about 1e7 rings: refused before it is built
-@pytest.mark.parametrize("b, code", [(1e5, 2), (3.0, 0)])
+# a bubble of radius 1e5 needs about 1e7 rings: refused before it is built,
+# and so is one of radius 1e200, whose area leaves the float range
+@pytest.mark.parametrize("b, code", [(1e5, 2), (3.0, 0), (1e200, 2)])
 def test_bubble_vertex_limit(tmp_path, capsys, b, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"command": "bands", "holes": [[0.5, 0.5, 0.1, b]], "base_resolution": 32,
@@ -397,7 +398,7 @@ def test_bubble_vertex_limit(tmp_path, capsys, b, code):
     out = tmp_path / "out"
     assert main(["bands", "--config", str(cfg_path), "--out", str(out)]) == code
     if code == 2:
-        assert capsys.readouterr().err.startswith("error: hole 0: bubble radius 100000.0 needs")
+        assert capsys.readouterr().err.startswith(f"error: hole 0: bubble radius {b} needs")
         assert sorted(os.listdir(out)) == ["bands_error.json"]
         assert json.loads(read(out / "bands_error.json"))["status"] == "error"
     else:
