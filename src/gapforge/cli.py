@@ -156,7 +156,9 @@ def _validate_config(cfg: RunConfig) -> None:
         _check_reals("range", cfg.range, 2)
     for k, hole in enumerate(cfg.holes):
         _check_reals(f"holes[{k}]", hole, 4)
-    if cfg.sigma is not None and cfg.rho is not None and len(cfg.sigma) != len(cfg.rho):
+    if cfg.rho is not None and cfg.sigma is None:
+        raise ConfigError("rho", "rho is read only with sigma; a designed model has its own rho")
+    if cfg.rho is not None and len(cfg.sigma) != len(cfg.rho):
         raise ConfigError("rho", "sigma and rho must have the same length")
     side = math.isqrt(MAX_COUNT)
     for name, lo, hi in (("count", 2, MAX_COUNT), ("resolution", 64, MAX_COUNT), ("theta_grid", 2, side),
@@ -468,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=float, help="inspection horizon")
         p.add_argument("--kappa", type=float, help="separation constant")
         p.add_argument("--sigma", help="comma-separated resonances (dispersion commands)")
-        p.add_argument("--rho", help="comma-separated weights")
+        p.add_argument("--rho", help="comma-separated weights (with --sigma)")
         p.add_argument("--range", help="sampling range 'lo,hi'")
         p.add_argument("--count", type=int, help="number of curve samples")
         p.add_argument("--eps", type=float, help="single scale parameter")

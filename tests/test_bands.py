@@ -259,8 +259,7 @@ class TestSquareSymmetry:
             assert [pairs[j][2] for j in (1, 2, 3)] == [1, 1, 1]
             for j, target in ((1, 2), (2, 3), (3, 1)):
                 pairs[j] = (graph.boundary_pairs[j][0], graph.boundary_pairs[target][1], 1)
-            graph = dataclasses.replace(graph, boundary_pairs=tuple(pairs), _fold=None)
-            graph.validate()
+            graph = dataclasses.replace(graph, boundary_pairs=tuple(pairs))
         assert all(character_map(graph, perm) is None for perm in perms)
         assert counted_sweep(monkeypatch, graph, 4) == 10
 
@@ -344,8 +343,13 @@ class TestBuilder:
             build_cell_graph(holes=[(0.5, 0.5, 0.3, 0.2)], cell_size=1.0, grid=GridSpec(64))
 
     def test_boundary_pairs_bijection_and_validate(self):
+        # checked when made, and frozen: no field is reassigned, no array written
         graph = build_cell_graph(holes=[(0.5, 0.5, 0.1, 0.3)], cell_size=1.0, grid=GridSpec(32))
-        graph.validate()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.masses = graph.masses.copy()
+        for array in (graph.masses, graph.edges, graph.weights, *graph.fold_structure()[:2]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
         for d in (1, 2):
             pairs = [(a, b) for a, b, dd in graph.boundary_pairs if dd == d]
             assert len(pairs) == 33
@@ -432,30 +436,55 @@ class TestGraphStructure:
 
     def test_disconnected_graph_rejected(self):
         g = path_graph(4, ((0, 3, 1),), 1)
-        g.edges = np.array([[0, 1], [2, 3]])
-        g.weights = np.ones(2)
         with pytest.raises(GeometryError, match="not connected"):
-            g.validate()
+            dataclasses.replace(g, edges=np.array([[0, 1], [2, 3]]), weights=np.ones(2))
 
     def test_non_bijective_pairs_rejected(self):
         # direction 1 is a bijection, direction 2 maps 2 and 0 both to 3
-        g = path_graph(4, ((0, 1, 1), (2, 3, 2), (0, 3, 2)), 2)
         with pytest.raises(GeometryError, match="direction 2 are not a bijection"):
-            g.validate()
+            path_graph(4, ((0, 1, 1), (2, 3, 2), (0, 3, 2)), 2)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_mass_rejected(self, bad):
         # both pass a test for masses <= 0
         g = path_graph(4, ((0, 3, 1),), 1)
-        g.masses[1] = bad
         with pytest.raises(GeometryError, match="masses must be positive and finite"):
-            g.validate()
+            dataclasses.replace(g, masses=np.array([1.0, bad, 1.0, 1.0]))
 
     def test_inconsistent_identifications_rejected(self):
-        # 0 ~ 1 and 1 ~ 2 put 2 two steps from 0; (0, 2, 1) says one
-        g = path_graph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)), 1)
+        # a bijection, but 0 ~ 1 ~ 2 ~ 0 puts 0 three steps from itself
         with pytest.raises(GeometryError, match="inconsistent"):
-            g.fold_structure()
+            path_graph(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)), 1)
+
+    MALFORMED = {
+        # np.eye(ndim)[d - 1] reads direction 0 as direction ndim
+        "direction-0": ({"boundary_pairs": ((0, 3, 0),)}, "directions in 1..1"),
+        "direction-ndim+1": ({"boundary_pairs": ((0, 3, 2),)}, "directions in 1..1"),
+        "pair-id-nv": ({"boundary_pairs": ((0, 4, 1),)}, r"ids must be in \[0, 4\)"),
+        "weight-count": ({"weights": np.ones(2)}, "2 edge weights for 3 edges"),
+        "edge-id-nv": ({"edges": np.array([[0, 1], [1, 2], [2, 4]])}, r"vertex ids in \[0, 4\)"),
+        "edge-id-negative": ({"edges": np.array([[0, 1], [1, 2], [-1, 3]])}, r"vertex ids in \[0, 4\)"),
+        "edges-not-pairs": ({"edges": np.array([0, 1, 2, 3])}, r"pairs of vertex ids"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_graph_rejected(self, name):
+        changes, message = self.MALFORMED[name]
+        g = path_graph(4, ((0, 3, 1),), 1)
+        with pytest.raises(GeometryError, match=message):
+            dataclasses.replace(g, **changes)
+
+    def test_replace_folds_anew(self):
+        graph = small_torus_graph(np.random.default_rng(3), n=4)
+        old = graph.fold_structure()
+        # x-face vertex a = j now pairs with 12 + (j + 1) mod 4: a valid pairing
+        # with another fold
+        pairs = tuple((a, 12 + (a + 1) % 4, d) if d == 1 else (a, b, d) for a, b, d in graph.boundary_pairs)
+        new = dataclasses.replace(graph, boundary_pairs=pairs)
+        comp, shift, n_comp = new.fold_structure()
+        ref_comp, ref_shift, ref_n = reference_fold_structure(new)
+        assert n_comp == ref_n and np.array_equal(comp, ref_comp) and np.array_equal(shift, ref_shift)
+        assert not np.array_equal(shift, old[1])
 
 
 class TestEnclosure:

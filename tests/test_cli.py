@@ -283,6 +283,8 @@ BAD_ARGS = [
     pytest.param("sigma", ["dispersion", "--sigma", "nan"], id="sigma-nan"),
     pytest.param("sigma", ["dispersion", "--sigma", "inf"], id="sigma-inf"),
     pytest.param("rho", ["dispersion", "--sigma", "1", "--rho", "nan"], id="rho-nan"),
+    # without sigma the model is designed, with its own rho
+    pytest.param("rho", ["dispersion", "--intervals", "1,2", "--rho", "5"], id="rho-without-sigma"),
     pytest.param("count", ["dispersion", "--sigma", "1,2", "--count", "100000000000000000000"], id="count-huge"),
     pytest.param("resolution", ["cell-eigs", "--intervals", "1,2", "--resolution", "100000000000000000000"],
                  id="resolution-huge"),

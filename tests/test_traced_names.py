@@ -77,3 +77,30 @@ def test_worker_reads_report(tmp_path):
     assert report.exit_code == 0
     assert [os.path.basename(p) for p in report.artifacts] == ["design.json"]
     assert all(os.path.getsize(p) > 0 for p in report.artifacts)
+
+
+def test_tracer_hooks_read_results(tmp_path):
+    # the tracer's observers read attributes off arguments and results
+    # (PeriodCellGraph.nv and .fold_structure(), RadialCell.segment_sizes,
+    # BandStructure.theta_points, Report.artifacts): run them on one small
+    # job of each solver
+    jobs = [
+        {"command": "bands", "holes": [[0.5, 0.5, 0.2, 0.3]], "base_resolution": 16, "theta_grid": 2,
+         "num_bands": 4},
+        {"command": "cell-eigs", "intervals": [[1, 2]], "n": 3, "eps": 0.1, "resolution": 128, "num_eigs": 3},
+    ]
+    original = cli.run_pipeline
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for k, job in enumerate(jobs):
+            report = cli.run_pipeline(cli.load_config(None, {**job, "out": str(tmp_path / str(k))}))
+            assert report.exit_code == 0
+    finally:
+        tr.uninstall()
+    assert tr.counts["graph_vertices"] > 0
+    assert tr.counts["dense_solves"] + tr.counts["sparse_solves"] > 0
+    assert tr.counts["unknowns"] > 0
+    assert tr.counts["characters"] > 0
+    assert tr.counts["artifact_bytes"] > 0
+    assert cli.run_pipeline is original
