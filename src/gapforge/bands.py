@@ -91,8 +91,13 @@ class PeriodCellGraph:
                 raise GeometryError(f"boundary pairs in direction {k} are not a bijection")
         if np.any((d < 1) | (d > self.ndim) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= nv)):
             raise GeometryError(f"boundary pair ids must be in [0, {nv}) and directions in 1..{self.ndim}")
-        # folded before the edge checks: made after their temporaries, the
-        # fold's arrays raised the band-sweep peak RSS by 7 MB in most runs
+        if edges.ndim != 2 or edges.shape[1] != 2 or np.any((edges < 0) | (edges >= nv)):
+            raise GeometryError(f"edges must be pairs of vertex ids in [0, {nv})")
+        adj = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv))
+        if connected_components(adj, directed=False, return_labels=False) != 1:
+            raise GeometryError("period-cell graph is not connected")
+        if len(self.weights) != len(edges):
+            raise GeometryError(f"{len(self.weights)} edge weights for {len(edges)} edges")
         step = np.eye(self.ndim, dtype=int)[d - 1]  # shift[b] - shift[a] of each pair
         pairs = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(nv, nv))
         n_comp, labels = connected_components(pairs, directed=False)
@@ -112,13 +117,6 @@ class PeriodCellGraph:
             raise GeometryError("inconsistent boundary identifications")
         comp.flags.writeable = shift.flags.writeable = False
         object.__setattr__(self, "_fold", (comp, shift, int(n_comp)))
-        if edges.ndim != 2 or edges.shape[1] != 2 or np.any((edges < 0) | (edges >= nv)):
-            raise GeometryError(f"edges must be pairs of vertex ids in [0, {nv})")
-        adj = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv))
-        if connected_components(adj, directed=False, return_labels=False) != 1:
-            raise GeometryError("period-cell graph is not connected")
-        if len(self.weights) != len(edges):
-            raise GeometryError(f"{len(self.weights)} edge weights for {len(edges)} edges")
 
     def fold_structure(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(representative index, integer shift vectors, folded dimension):
@@ -391,6 +389,30 @@ def _find_openblas() -> list[tuple]:
 _OPENBLAS = _find_openblas()
 
 
+def _find_malloc_trim():
+    """The C library's ``malloc_trim`` (glibc), which returns the free pages
+    of the heap to the system, or a no-op where there is none.
+
+    SuperLU sizes its L and U storage as a multiple of nnz(A) and takes it
+    with malloc.  Once the first such block is freed, glibc raises its mmap
+    threshold past that size, and the later factors come from the heap,
+    where freed pages that a factor touched stay resident.  How many depends
+    on where each factor lands among the long-lived blocks: the band-sweep
+    peak RSS jumped by 7 MB between identical runs.  Trimming after every
+    factor of a matrix with more than _TRIM_NNZ stored entries makes the
+    next one start from returned pages, at about 3.5% of the demo sweep's
+    time for refaulting them.  Smaller factors move the peak by well under
+    a megabyte, and trimming after them costs the 16 x 16 bubble cells 8%."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return lambda pad: 0
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+_TRIM_NNZ = 10_000  # the demo cell's folded matrix has 25908
+
+
 @contextmanager
 def _one_blas_thread():
     """Pin every OpenBLAS copy in ``_OPENBLAS`` to one thread and restore the
@@ -467,7 +489,8 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
     re-running on the complement of the eigenvectors found so far.  At
     most one factorization is alive at a time: the sigma factor goes when
     Lanczos returns, before the count factors at the cut, and a re-run
-    factors at sigma again (the same matrix, so the same factor).
+    factors at sigma again (the same matrix, so the same factor).  The heap
+    is trimmed after each large factor goes (``_find_malloc_trim``).
     """
     dim = K.shape[0]
     if k < 1 or k > dim:
@@ -479,6 +502,7 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
         A = K.toarray() * s[:, None] * s[None, :]
         vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
         return np.asarray(vals, dtype=float)
+    release = _MALLOC_TRIM if K.nnz > _TRIM_NNZ else (lambda pad: 0)
     scale = float(K.diagonal().real.sum() / M.sum())
     sigma = -1e-3 * scale - 1e-12
     rng = np.random.default_rng(_EIGSH_SEED)
@@ -488,6 +512,7 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
     want = k
     for _ in range(1 + _MAX_DEFLATIONS):
         nu_new, vecs_new = _shift_invert_pass(K, M, sigma, vecs, v0, want)
+        release(0)
         nu = np.concatenate([nu, nu_new])
         vecs = np.hstack([vecs, vecs_new])
         lam = np.sort(sigma + 1.0 / nu)[:k]
@@ -495,6 +520,7 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
         # rounding (k = 1 at the trivial character, Neumann spectra)
         cut = lam[-1] * (1.0 - _CERTIFY_GAP) - 1e-12 * scale
         want = _count_below(K, M, cut) - int(np.count_nonzero(lam < cut))
+        release(0)
         if want == 0:
             return lam
         if want < 0 or len(nu) + want >= dim - 1:

@@ -579,6 +579,27 @@ class TestSparsePath:
         assert np.all(np.abs(lam - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))
         assert seen and all(d == dtype for d in seen)
 
+    @pytest.mark.parametrize("graph_name, trimmed", [("demo_graph", True), ("small_demo_graph", False)])
+    def test_heap_trimmed_after_each_large_factor(self, monkeypatch, request, graph_name, trimmed):
+        # the demo cell's folded matrix has 25908 stored entries, above
+        # _TRIM_NNZ; the half-resolution cell's 7548 are below it
+        g = request.getfixturevalue(graph_name)
+        theta = (1j, -1.0 + 0.0j)
+        untrimmed = theta_spectrum(g, theta, 12)
+        factors, trims = [], []
+        lu = bands._symmetric_lu
+
+        def recording(*args):
+            factors.append(len(trims))
+            return lu(*args)
+
+        monkeypatch.setattr(bands, "_symmetric_lu", recording)
+        monkeypatch.setattr(bands, "_MALLOC_TRIM", lambda pad: trims.append(pad) or 0)
+        lam = theta_spectrum(g, theta, 12)
+        assert factors == (list(range(len(factors))) if trimmed else [0] * len(factors))
+        assert trims == ([0] * len(factors) if trimmed else [])
+        np.testing.assert_allclose(lam, untrimmed, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "graph_name, theta, first, double",
         [
