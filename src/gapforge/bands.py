@@ -499,8 +499,11 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
         K = K.real
     if dim <= DENSE_LIMIT or k >= dim - 1:
         s = 1.0 / np.sqrt(M)
-        A = K.toarray() * s[:, None] * s[None, :]
-        vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
+        # one n x n copy, in the order LAPACK takes it and scaled in place
+        A = K.toarray(order="F")
+        A *= s[:, None]
+        A *= s[None, :]
+        vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1), overwrite_a=True)
         return np.asarray(vals, dtype=float)
     release = _MALLOC_TRIM if K.nnz > _TRIM_NNZ else (lambda pad: 0)
     scale = float(K.diagonal().real.sum() / M.sum())
@@ -545,7 +548,7 @@ def folded_matrices(graph: PeriodCellGraph, theta: Sequence[complex]) -> tuple[s
     theta = np.asarray(theta, dtype=complex)
     if len(theta) != graph.ndim:
         raise GapForgeError(f"theta must have {graph.ndim} components")
-    if np.any(np.abs(np.abs(theta) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.abs(theta) - 1.0) <= 1e-12):  # NaN fails too
         raise GapForgeError("theta components must have unit modulus")
     rep, shift, dim = graph.fold_structure()
     ph = np.prod(np.conj(theta)[None, :] ** shift, axis=1)

@@ -360,11 +360,6 @@ def build_radial_cell(geom: EpsGeometry, j: int, nodes_per_segment: int = 256) -
     return RadialCell(geom.n, annulus, arc, ch.b_eps)
 
 
-def disk_cell(n: int, radius: float, nodes: int = 2048) -> RadialCell:
-    """Flat n-ball of the given radius: Dirichlet rim, natural centre."""
-    return RadialCell(n, np.linspace(0.0, radius, nodes))
-
-
 _GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
@@ -553,13 +548,18 @@ class ReferenceLimits:
 
 
 def reference_limits(base: BubbleGeometry, j: int) -> ReferenceLimits:
-    """Spectral data of the rescaled limit cells: the flat disk of radius
-    base.kappa/2 (first Dirichlet eigenvalue, via the same 1-D solver) and
-    the full sphere of radius b_j (first nonzero eigenvalue n/b^2)."""
-    n = base.n
-    disk = radial_eigenvalues(disk_cell(n, 0.5 * base.kappa, nodes=4096), 1)[0]
+    """Spectral data of the rescaled limit cells: the flat n-ball of radius
+    base.kappa/2 (first Dirichlet eigenvalue (j_{nu,1}/(kappa/2))^2, nu =
+    n/2 - 1) and the full sphere of radius b_j (first nonzero eigenvalue
+    n/b^2).  At a zero x of J_nu the recurrence J_(mu-1) + J_(mu+1) =
+    (2 mu/x) J_mu (DLMF 10.6.1) makes -1/x the smallest eigenvalue of the
+    zero-diagonal tridiagonal with off-diagonal 1/(2 sqrt(mu (mu+1))), mu =
+    nu+1 .. nu+99 (Ball, SIAM J. Sci. Comput. 21 (2000)); dstebz finds it."""
+    mu = np.arange(1.0, 100.0) + (0.5 * base.n - 1.0)
+    zero = -1.0 / _predict_eigenvalues(np.zeros(100), 0.5 / np.sqrt(mu * (mu + 1.0)), np.ones(100), 1)[0]
+    disk = (zero / (0.5 * base.kappa)) ** 2
     b_j = base.channels[j][1]
-    lam2_sphere = n / (b_j * b_j)
+    lam2_sphere = base.n / (b_j * b_j)
     return ReferenceLimits(float(disk), lam2_sphere, float(min(disk, lam2_sphere)))
 
 

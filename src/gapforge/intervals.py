@@ -141,11 +141,14 @@ def complement_on(bands: Iterable[Sequence[float]], L: float) -> IntervalSet:
     included; pairs may overlap, and a degenerate one (lo == hi) still
     splits a gap.  A first band edge within ENDPOINT_TOL * max(1, L) of 0
     is no gap: an eigenvalue that should be 0 computes to +-epsilon on the
-    scale of the spectrum.  A gap that straddles L is truncated at L.
+    scale of the spectrum.  A gap that straddles L is truncated at L.  A NaN
+    band edge raises IntervalError.
     """
     if not (L > 0.0):
         raise IntervalError(f"window length L={L} must be > 0")
     clipped = [(max(float(lo), 0.0), min(float(hi), L)) for lo, hi in bands]
+    if any(math.isnan(lo) or math.isnan(hi) for lo, hi in clipped):  # max and min keep a NaN
+        raise IntervalError("band edges must not be NaN")
     gaps: list[tuple[float, float]] = []
     cursor = 0.0
     tol = ENDPOINT_TOL * max(1.0, L)

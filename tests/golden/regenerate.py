@@ -1,4 +1,5 @@
-"""Run the seven CLI commands of the golden gate, one output directory each.
+"""Run the golden gate's eight jobs of the seven CLI commands, one output
+directory each.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
         python tests/golden/regenerate.py tests/golden
@@ -27,6 +28,9 @@ RUNS = {
                   "--resolution", "128", "--num-eigs", "3"],
     "convergence": ["convergence", "--intervals", "1,2", "--dim", "3", "--eps-list", "0.2,0.1",
                     "--resolution", "128"],
+    # kappa = 2 puts the disk term, pi^2, below the sphere term in Lj_lambda2
+    "convergence-kappa2": ["convergence", "--intervals", "1,2", "--dim", "3", "--kappa", "2",
+                           "--eps-list", "0.2,0.1", "--resolution", "128"],
     "bands": ["bands", "--config", SMALL_CELL],
     "verify": ["verify", "--config", SMALL_CELL, "--intervals", "1,2", "--dim", "3",
                "--eps-list", "0.2,0.1", "--resolution", "128",

@@ -10,8 +10,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.special import jv
 
-from gapforge.bands import PeriodCellGraph, _square_symmetry_candidates
+from gapforge.bands import PeriodCellGraph, _one_blas_thread, _square_symmetry_candidates
 from gapforge.cell import RadialCell, _assemble_path
 from gapforge.design import HomogenizedModel
 from gapforge.errors import GeometryError, PoleError
@@ -106,6 +107,20 @@ def small_torus_graph(rng, n=3):
         boundary_pairs=pairs,
         ndim=2,
     )
+
+
+def dense_branch_as_first_written(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray:
+    """The dense branch of ``bands._smallest_eigenvalues`` as first written:
+    scaled copies of ``K.toarray()``, which ``eigh`` copies once more into
+    Fortran order.  The frozen reference for the one-copy branch, which must
+    match it bit for bit."""
+    if np.iscomplexobj(K) and not np.any(K.data.imag):
+        K = K.real
+    with _one_blas_thread():
+        s = 1.0 / np.sqrt(M)
+        A = K.toarray() * s[:, None] * s[None, :]
+        vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1))
+    return np.asarray(vals, dtype=float)
 
 
 def dense_folded_oracle(graph, theta, k):
@@ -461,6 +476,27 @@ def reference_level_set_roots(model: HomogenizedModel, a: float) -> tuple[float,
             hi *= 2.0
         roots.append(bisect(shrink_into(sig[-1], hi, want_negative=True), hi))
     return tuple(roots)
+
+
+def disk_cell(n: int, radius: float, nodes: int = 2048) -> RadialCell:
+    """Flat n-ball of the given radius: Dirichlet rim, natural centre."""
+    return RadialCell(n, np.linspace(0.0, radius, nodes))
+
+
+def bessel_zero_oracle(nu: float) -> tuple[float, float]:
+    """Adjacent floats (lo, hi) with J_nu(lo) > 0 >= J_nu(hi) around the
+    first positive zero j_{nu,1}: float bisection of ``scipy.special.jv`` on
+    [nu, nu + 2 nu^(1/3) + 3], which holds that zero and no other."""
+    lo, hi = nu, nu + 2.0 * nu ** (1.0 / 3.0) + 3.0
+    assert jv(nu, lo) > 0.0 > jv(nu, hi)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        if jv(nu, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def exact_rayleigh_quotient(cell: RadialCell, lam: float) -> Fraction:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gapforge.design import BubbleGeometry
 from gapforge.errors import GapForgeError, GeometryError, ResolutionError
 
 from helpers import (
+    dense_branch_as_first_written,
     dense_folded_oracle,
     dirichlet_loop_matrix,
     inertia_count,
@@ -96,6 +98,14 @@ class TestThetaSpectrum:
     def test_nonunit_theta_rejected(self):
         with pytest.raises(GapForgeError):
             theta_spectrum(cycle_cell(), (2.0 + 0.0j,), 2)
+
+    @pytest.mark.parametrize("holes, N", [([(0.5, 0.5, 0.2, 0.3)], 16), ([], 4)])
+    def test_nan_theta_rejected(self, holes, N):
+        # NaN fails every comparison, so the modulus check must accept
+        # only what passes it
+        g = build_cell_graph(holes=holes, grid=GridSpec(N))
+        with pytest.raises(GapForgeError, match="unit modulus"):
+            theta_spectrum(g, (complex(math.nan, 0.0), 1.0 + 0.0j), 3)
 
     def test_hermiticity_exact(self):
         rng = np.random.default_rng(4)
@@ -551,6 +561,35 @@ class TestSmallDemoCell:
 @pytest.fixture(scope="module")
 def demo_graph():
     return build_cell_graph(holes=[(0.5, 0.5, 0.05, 0.3)], cell_size=1.0, grid=GridSpec(64))
+
+
+class TestDenseBranch:
+    # a real character solves in real arithmetic (8-byte entries), the
+    # other in complex (16-byte)
+    CHARACTERS = [
+        ((1.0 + 0.0j, -1.0 + 0.0j), 8),
+        ((complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(2.5), math.sin(2.5))), 16),
+    ]
+
+    @pytest.mark.parametrize("N", [8, 15])
+    @pytest.mark.parametrize("theta, itemsize", CHARACTERS)
+    def test_matches_first_written_branch_bit_for_bit(self, N, theta, itemsize):
+        K, M = folded_matrices(build_cell_graph(grid=GridSpec(N)), theta)
+        assert K.shape[0] <= DENSE_LIMIT
+        lam = bands._smallest_eigenvalues(K, M, 12)
+        assert np.array_equal(lam, dense_branch_as_first_written(K, M, 12))
+
+    @pytest.mark.parametrize("theta, itemsize", CHARACTERS)
+    def test_one_matrix_copy(self, theta, itemsize):
+        K, M = folded_matrices(build_cell_graph(grid=GridSpec(15)), theta)
+        dim = K.shape[0]
+        tracemalloc.start()
+        try:
+            bands._smallest_eigenvalues(K, M, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dim * dim * itemsize
 
 
 class TestSparsePath:

@@ -11,7 +11,6 @@ from gapforge.cell import (
     build_radial_cell,
     convergence_table,
     cutoff_profile,
-    disk_cell,
     eps_scale,
     junction_flux,
     radial_eigenvalues,
@@ -26,6 +25,8 @@ from gapforge.intervals import validate_gap_spec
 
 from helpers import (
     angular_integral_F_quad,
+    bessel_zero_oracle,
+    disk_cell,
     exact_rayleigh_quotient,
     random_gap_spec,
     reference_radial_eigenvalues,
@@ -303,7 +304,7 @@ class TestRadialEigenvalues:
 def seeded_radial_cells():
     """(label, cell, k) over n = 2, 3, 4 down to the smallest eps each
     pencil represents, two-gap designs from seeded targets, the 40-eigenvalue
-    cell-eigs job and the 4096-node disks of ``reference_limits``."""
+    cell-eigs job and 4096-node disks."""
     rng = np.random.default_rng(606)
     ladders = {2: (0.4, 0.3, 0.2, 0.15, 0.13, 0.1), 3: (0.2, 0.1, 0.05, 0.025, 0.01, 0.001),
                4: (0.2, 0.1, 0.05, 0.025)}
@@ -482,6 +483,32 @@ class TestReferenceLimits:
         base, _ = designed_geometry()
         ref = reference_limits(base, 0)
         assert ref.Lj_lambda2 == min(ref.lambda1_D_disk, ref.lambda2_sphere)
+
+    # j_{n/2-1,1} for n = 2 ... 6
+    FROZEN_ZEROS = (2.404825557695773, math.pi, 3.8317059702075125, 4.493409457909064, 5.135622301840683)
+
+    @pytest.mark.parametrize("n, zero", list(zip(range(2, 7), FROZEN_ZEROS)))
+    def test_disk_term_frozen_zeros(self, n, zero):
+        ref = reference_limits(BubbleGeometry(n, ((1.0, 1.0),), kappa=2.0), 0)
+        assert math.sqrt(ref.lambda1_D_disk) == pytest.approx(zero, rel=1e-15)
+
+    def test_disk_term_matches_scipy_special(self):
+        # radius 1, so the term is the squared zero; its square root adds
+        # at most one ulp
+        for n in range(2, 343):
+            nu = 0.5 * n - 1.0
+            zero = math.sqrt(reference_limits(BubbleGeometry(n, ((1.0, 1.0),), kappa=2.0), 0).lambda1_D_disk)
+            assert zero == pytest.approx(bessel_zero_oracle(nu)[0], rel=1e-15), n
+            if n % 2 == 0:
+                assert zero == pytest.approx(jn_zeros(int(nu), 1)[0], rel=1e-15), n
+
+    def test_solves_no_mesh(self, monkeypatch):
+        calls = []
+        solve = cell_module.radial_eigenvalues
+        monkeypatch.setattr(cell_module, "radial_eigenvalues", lambda *a: calls.append(a) or solve(*a))
+        for n in (2, 3, 72, 150):
+            reference_limits(BubbleGeometry(n, ((1.0, 1.0),), kappa=0.5), 0)
+        assert calls == []
 
 
 class TestConvergenceTable:

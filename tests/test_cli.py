@@ -152,6 +152,17 @@ class TestCommands:
         assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("dim", [72, 150])
+    def test_convergence_high_dimension(self, tmp_path, dim):
+        # a 4096-node disk mesh underflows its masses r^(n-1) from n = 72 up;
+        # the disk limit is closed-form
+        code = main([
+            "convergence", "--intervals", "1,2", "--dim", str(dim),
+            "--eps-list", "0.9,0.8", "--resolution", "64", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert len(read(tmp_path / "convergence.csv").strip().splitlines()) == 3
+
     def test_cell_eigs_agrees_with_convergence_row(self, tmp_path):
         # both commands read one radial record per eps
         common = ["--intervals", "1,2", "--dim", "3", "--resolution", "128"]

@@ -2,6 +2,8 @@
 artifacts byte for byte, into a fresh directory and over longer files
 (``tests/golden/regenerate.py`` says how the files were made)."""
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -53,3 +55,13 @@ def test_rewrite_over_longer_files_byte_identical(tmp_path):
     rewritten = _regenerate(tmp_path)
     assert sorted(rewritten) == sorted(golden)
     assert [name for name in golden if rewritten[name] != golden[name]] == []
+
+
+def test_kappa2_convergence_reaches_the_disk_limit():
+    # at kappa = 2 the limit disk has radius 1, so Lj_lambda2 is j_{1/2,1}^2
+    # = pi^2, below the sphere term, and eps^2 lambda2 approaches it
+    with open(GOLDEN / "convergence-kappa2" / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["Lj_lambda2"]) for r in rows] == [math.pi**2] * len(rows)
+    devs = [abs(float(r["eps2_lambda2"]) - math.pi**2) for r in rows]
+    assert all(b < a for a, b in zip(devs[:-1], devs[1:])) and devs[-1] < 0.03

@@ -109,6 +109,13 @@ class TestComplement:
         bands = [(0.0, 1.0), (2.5, 2.5), (4.0, 6.0)]
         assert complement_on(bands, 6.0).intervals == ((1.0, 2.5), (2.5, 4.0))
 
+    @pytest.mark.parametrize("band", [(0.0, math.nan), (math.nan, 1.0)])
+    def test_nan_band_edge_rejected(self, band):
+        # min and max keep a NaN, and a NaN pair would fail the lo <= hi
+        # filter and vanish from the union
+        with pytest.raises(IntervalError):
+            complement_on([band, (2.0, 3.0)], 5.0)
+
     def test_overlapping_pairs_merged(self):
         bands = [(2.0, 5.0), (0.0, 1.0), (0.5, 1.5), (3.0, 4.0)]
         assert complement_on(bands, 6.0).intervals == ((1.5, 2.0), (5.0, 6.0))
