@@ -45,6 +45,12 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            # one template pass, respelled as fmt_real writes nan and inf
+            line = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" in line:
+                line = line.replace("nan", "NaN").replace("inf", "Infinity")
+            return "[" + line + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(dumps_json(v) for v in obj) + "]"

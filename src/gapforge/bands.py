@@ -7,7 +7,11 @@ conditions u(b) = conj(theta_dir) u(a) fold the paired faces into a
 Hermitian pencil; Neumann (faces free) and Dirichlet (faces clamped)
 spectra enclose every theta spectrum, which is checked, not assumed.
 The band sweep solves one character per orbit of conjugation and of the
-square symmetries that the builder proposes and the graph verifies.
+square symmetries that the builder proposes and the graph verifies.  Each
+character is solved in real arithmetic when its pencil is real, or when a
+verified involutive symmetry sends theta to conj theta, as the point
+inversion does at every theta: inversion and time reversal together give a
+real Bloch pencil.
 
 The builder is 2-D; the theta eigensolver works for any number of paired
 directions.  Results are numbers; ``cli`` lays them out as artifacts.
@@ -60,8 +64,8 @@ class PeriodCellGraph:
     and folded when it is made, with read-only arrays.
 
     ``symmetry_candidates`` are vertex permutations (v -> perm[v]) that may
-    be symmetries of the graph; ``band_structure`` uses only those that
-    ``character_map`` verifies."""
+    be symmetries of the graph; ``character_map`` checks each once, when
+    the graph is made, and the solvers use only those it verifies."""
 
     masses: np.ndarray
     edges: np.ndarray  # (ne, 2) vertex ids
@@ -70,6 +74,9 @@ class PeriodCellGraph:
     ndim: int
     symmetry_candidates: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     _fold: tuple[np.ndarray, np.ndarray, int] = field(init=False, repr=False, compare=False)
+    _symmetries: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     @property
     def nv(self) -> int:
@@ -117,12 +124,19 @@ class PeriodCellGraph:
             raise GeometryError("inconsistent boundary identifications")
         comp.flags.writeable = shift.flags.writeable = False
         object.__setattr__(self, "_fold", (comp, shift, int(n_comp)))
+        verdicts = ((perm, character_map(self, perm)) for perm in self.symmetry_candidates)
+        object.__setattr__(self, "_symmetries", tuple((perm, *m) for perm, m in verdicts if m is not None))
 
     def fold_structure(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(representative index, integer shift vectors, folded dimension):
         vertex p carries value phase(p) * x[rep(p)] with
         phase(p) = prod_d conj(theta_d)^shift[p, d]."""
         return self._fold
+
+    def verified_symmetries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(perm, target direction, sign) of each symmetry candidate that
+        ``character_map`` verified when the graph was made."""
+        return self._symmetries
 
 
 def _close(x: np.ndarray, y: np.ndarray) -> bool:
@@ -454,13 +468,14 @@ def _count_below(K: sp.csr_matrix, M: np.ndarray, shift: float) -> int:
 def _shift_invert_pass(K, M, sigma, basis, v0, want):
     """(nu, vectors) of the ``want`` largest eigenvalues of the standard-form
     operator x -> R (K - sigma M)^{-1} R x, R = sqrt(M), restricted to the
-    orthogonal complement of ``basis``.  The factor lives only for the call."""
+    orthogonal complement of ``basis``.  The factor lives only for the call;
+    a first pass, with no columns in ``basis``, projects nothing."""
     lu = _symmetric_lu(K, M, sigma)
     r = np.sqrt(M)
-    Q = np.linalg.qr(basis)[0]
+    Q = np.linalg.qr(basis)[0] if basis.shape[1] else None
 
     def deflate(x):
-        return x - Q @ (Q.conj().T @ x)
+        return x if Q is None else x - Q @ (Q.conj().T @ x)
 
     op = spla.LinearOperator(
         K.shape, matvec=lambda x: deflate(r * lu.solve(r * deflate(x.ravel()))), dtype=K.dtype
@@ -565,10 +580,57 @@ def folded_matrices(graph: PeriodCellGraph, theta: Sequence[complex]) -> tuple[s
     return K, M
 
 
+def _real_form(
+    graph: PeriodCellGraph, theta: np.ndarray, K: sp.csr_matrix, M: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The folded pencil (K, M) at theta in real arithmetic through the
+    first verified involutive symmetry g of ``graph`` whose character map
+    sends theta to conj theta; (K, M) itself if there is none.
+
+    u -> conj(u o g) then maps the theta-periodic functions onto themselves
+    and keeps both forms.  On folded vectors it is x -> conj(U x), U the
+    monomial with U[c, image[c]] = phase(g(r_c)), r_c the first vertex of
+    class c (whose shift is 0).  So conj K = U K U^H, and U = U^T because
+    g^2 = id.  V is the block-diagonal Takagi factor U = V V^T: sqrt(d) on
+    a class that g fixes, and sqrt(d / 2) [[1, i], [1, -i]] on a swapped
+    pair c < image[c], d = U[c, image[c]].  In x = conj(V) y the map is
+    y -> conj y, so V^T K conj(V) is real symmetric and V^T M conj(V)
+    diagonal, up to the verified mismatch.  Their real parts are the pencil
+    with every mass and weight averaged with its image under g."""
+    rep, shift, dim = graph.fold_structure()
+    for perm, target, sign in graph.verified_symmetries():
+        moved = np.empty_like(theta)
+        moved[target] = np.where(sign > 0, theta, np.conj(theta))
+        if not np.array_equal(moved, np.conj(theta)) or not np.array_equal(perm[perm], np.arange(len(perm))):
+            continue
+        q = perm[np.unique(rep, return_index=True)[1]]
+        image = rep[q]
+        d = np.prod(np.conj(theta)[None, :] ** shift[q], axis=1)
+        c = np.arange(dim)
+        fixed, lo = c == image, c < image
+        hi, s = image[lo], np.sqrt(0.5 * d[lo])
+        rows = np.concatenate([c[fixed], c[lo], c[lo], hi, hi])
+        cols = np.concatenate([c[fixed], c[lo], hi, c[lo], hi])
+        data = np.concatenate([np.sqrt(d[fixed]), s, 1j * s, s, -1j * s])
+        V = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        A = (V.T @ K @ V.conj()).real
+        A = ((A + A.T) * 0.5).tocsr()
+        A.eliminate_zeros()
+        return A, 0.5 * (M + M[image])
+    return K, M
+
+
 def theta_spectrum(graph: PeriodCellGraph, theta: Sequence[complex], k: int) -> np.ndarray:
     """First k eigenvalues of the theta-periodic cell problem, ascending,
-    repeated by multiplicity."""
+    repeated by multiplicity.
+
+    A complex pencil is solved in real arithmetic where ``_real_form``
+    finds a symmetry for theta, on the pencil averaged over it: within the
+    verified mismatch SYMMETRY_RTOL of the original (see
+    ``band_structure``)."""
     K, M = folded_matrices(graph, theta)
+    if np.any(K.data.imag):
+        K, M = _real_form(graph, np.asarray(theta, dtype=complex), K, M)
     return _smallest_eigenvalues(K, M, k)
 
 
@@ -599,19 +661,16 @@ class BandStructure:
 def character_orbits(graph: PeriodCellGraph, resolution: int) -> np.ndarray:
     """For each point of ``theta_grid(resolution, graph.ndim)``, the smallest
     grid index in its orbit under conjugation and the graph's verified
-    symmetries (``character_map`` of each candidate), and so under every
+    symmetries (``PeriodCellGraph.verified_symmetries``), and so under every
     composition of them."""
     shape = (resolution,) * graph.ndim
     p = np.indices(shape).reshape(graph.ndim, -1)  # theta_grid order
     n = p.shape[1]
     images = [np.ravel_multi_index(-p % resolution, shape)]
-    for perm in graph.symmetry_candidates:
-        verified = character_map(graph, perm)
-        if verified is not None:
-            target, sign = verified
-            q = np.empty_like(p)
-            q[target] = sign[:, None] * p % resolution
-            images.append(np.ravel_multi_index(q, shape))
+    for _, target, sign in graph.verified_symmetries():
+        q = np.empty_like(p)
+        q[target] = sign[:, None] * p % resolution
+        images.append(np.ravel_multi_index(q, shape))
     links = sp.coo_matrix(
         (np.ones(n * len(images)), (np.tile(np.arange(n), len(images)), np.concatenate(images))), shape=(n, n)
     )
@@ -636,8 +695,10 @@ def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> Ban
     map.  A copy reached through j maps moves by at most j times that, and
     an orbit on the square has at most 8 characters: far inside
     _CERTIFY_GAP, so the inertia certificate of the solved row covers the
-    copies.  The demo cell is symmetric to 4.4e-16 (masses) and 1.2e-15
-    (weights), the rounding of its ring angles.
+    copies.  The same bound covers a row that ``theta_spectrum`` solves in
+    real form, on the pencil averaged over one symmetry (``_real_form``).
+    The demo cell is symmetric to 4.4e-16 (masses) and 1.2e-15 (weights),
+    the rounding of its ring angles.
     """
     points = theta_grid(theta_resolution, graph.ndim)
     orbit = character_orbits(graph, theta_resolution)

@@ -184,6 +184,33 @@ def counted_sweep(monkeypatch, graph, res):
 
 
 TWO_HOLES = [(0.27, 0.5, 0.19, 0.22), (0.73, 0.5, 0.19, 0.30)]
+BROKEN = ["mass", "weight", "pair"]
+
+
+def broken_symmetry(graph, broken):
+    """Copy of a square-symmetric ``graph`` that none of its symmetry
+    candidates keeps: one mass or weight off by 1e-9, or three pairs moved."""
+    perms = graph.symmetry_candidates
+    if broken == "mass":
+        # a bubble vertex that no symmetry fixes
+        v = next(v for v in range(graph.nv - 1, 0, -1) if all(perm[v] != v for perm in perms))
+        masses = graph.masses.copy()
+        masses[v] *= 1 + 1e-9
+        return dataclasses.replace(graph, masses=masses)
+    if broken == "weight":
+        # a bubble edge that no symmetry maps onto itself
+        e = next(e for e in range(len(graph.edges) - 1, 0, -1)
+                 if all({perm[a] for a in graph.edges[e]} != set(graph.edges[e]) for perm in perms))
+        weights = graph.weights.copy()
+        weights[e] *= 1 + 1e-9
+        return dataclasses.replace(graph, weights=weights)
+    # pair the x-face rows 1, 2, 3 with rows 2, 3, 1: every candidate now
+    # sends one of them to a non-pair
+    pairs = list(graph.boundary_pairs)
+    assert [pairs[j][2] for j in (1, 2, 3)] == [1, 1, 1]
+    for j, target in ((1, 2), (2, 3), (3, 1)):
+        pairs[j] = (graph.boundary_pairs[j][0], graph.boundary_pairs[target][1], 1)
+    return dataclasses.replace(graph, boundary_pairs=tuple(pairs))
 
 
 class TestSquareSymmetry:
@@ -244,33 +271,14 @@ class TestSquareSymmetry:
             direct = theta_spectrum(graph, tuple(point), 6)
             assert np.all(np.abs(row - direct) <= 1e-12 * np.abs(direct))
 
-    @pytest.mark.parametrize("broken", ["mass", "weight", "pair"])
+    @pytest.mark.parametrize("broken", BROKEN)
     def test_broken_symmetry_falls_back(self, monkeypatch, small_demo_graph, broken):
         graph = small_demo_graph
         perms = graph.symmetry_candidates
         assert len(perms) == 7 and all(character_map(graph, perm) is not None for perm in perms)
-        if broken == "mass":
-            # a bubble vertex that no symmetry fixes
-            v = next(v for v in range(graph.nv - 1, 0, -1) if all(perm[v] != v for perm in perms))
-            masses = graph.masses.copy()
-            masses[v] *= 1 + 1e-9
-            graph = dataclasses.replace(graph, masses=masses)
-        elif broken == "weight":
-            # a bubble edge that no symmetry maps onto itself
-            e = next(e for e in range(len(graph.edges) - 1, 0, -1)
-                     if all({perm[a] for a in graph.edges[e]} != set(graph.edges[e]) for perm in perms))
-            weights = graph.weights.copy()
-            weights[e] *= 1 + 1e-9
-            graph = dataclasses.replace(graph, weights=weights)
-        else:
-            # pair the x-face rows 1, 2, 3 with rows 2, 3, 1: every
-            # candidate now sends one of them to a non-pair
-            pairs = list(graph.boundary_pairs)
-            assert [pairs[j][2] for j in (1, 2, 3)] == [1, 1, 1]
-            for j, target in ((1, 2), (2, 3), (3, 1)):
-                pairs[j] = (graph.boundary_pairs[j][0], graph.boundary_pairs[target][1], 1)
-            graph = dataclasses.replace(graph, boundary_pairs=tuple(pairs))
+        graph = broken_symmetry(graph, broken)
         assert all(character_map(graph, perm) is None for perm in perms)
+        assert graph.verified_symmetries() == ()
         assert counted_sweep(monkeypatch, graph, 4) == 10
 
     def test_hand_built_graph_has_no_candidates(self):
@@ -740,6 +748,90 @@ class TestSparsePath:
         ref = scipy.linalg.eigvalsh(K * s[:, None] * s[None, :])[:6]
         lam = dirichlet_spectrum(g, 6)
         assert np.all(np.abs(lam - ref) <= tol * np.abs(ref))
+
+
+OFF_GRID = (complex(math.cos(0.4), math.sin(0.4)), complex(math.cos(2.5), math.sin(2.5)))
+I4 = theta_grid(4, 1)[1][0]  # the grid's root i
+
+
+def recorded_dtypes(monkeypatch, module, name):
+    """dtypes of the first argument of every later call of module.name."""
+    seen = []
+    original = getattr(module, name)
+
+    def recording(A, *args, **kwargs):
+        seen.append(A.dtype)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+class TestRealForm:
+    """A complex character of a cell with a verified involution that maps
+    it to its conjugate (the point inversion does so for every character)
+    is solved in real arithmetic."""
+
+    # the complex characters the demo sweep solves on a 4x4 grid, and one
+    # off the grid
+    @pytest.mark.parametrize(
+        "theta", [(1.0 + 0.0j, I4), (I4, I4), (I4, -1.0 + 0.0j), OFF_GRID], ids=["1,i", "i,i", "i,-1", "off-grid"]
+    )
+    def test_matches_complex_path(self, demo_graph, theta):
+        K, M = folded_matrices(demo_graph, theta)
+        assert np.any(K.data.imag)
+        lam = theta_spectrum(demo_graph, theta, 12)
+        complex_path = bands._smallest_eigenvalues(K, M, 12)
+        assert np.all(np.abs(lam - complex_path) <= 1e-12 * np.abs(complex_path))
+        # an independent count on the complex pencil
+        for k in range(12):
+            assert inertia_count(K, M, lam[k] * (1 - 1e-9)) == np.count_nonzero(lam < lam[k] * (1 - 1e-9))
+        assert inertia_count(K, M, lam[11] * (1 + 1e-9)) >= 12
+
+    def test_every_factor_real_on_demo_sweep(self, monkeypatch, demo_graph):
+        factored = recorded_dtypes(monkeypatch, bands.spla, "splu")
+        band_structure(demo_graph, theta_resolution=4, K=12)
+        # six characters, a Lanczos factor and a count factor each
+        assert len(factored) >= 12 and set(factored) == {np.dtype(np.float64)}
+
+    def test_dense_branch(self, monkeypatch):
+        graph = build_cell_graph(grid=GridSpec(8))
+        oracle = dense_folded_oracle(graph, OFF_GRID, 12)
+        solved = recorded_dtypes(monkeypatch, bands.scipy.linalg, "eigh")
+        lam = theta_spectrum(graph, OFF_GRID, 12)
+        assert solved == [np.dtype(np.float64)]
+        assert np.all(np.abs(lam - oracle) <= 1e-12 * np.abs(oracle))
+
+    @pytest.mark.parametrize("cell, dtype", [
+        ("centred", np.float64),
+        ("jittered", np.complex128),
+        *((broken, np.complex128) for broken in BROKEN),
+    ])
+    def test_only_symmetric_cells_go_real(self, monkeypatch, small_demo_graph, cell, dtype):
+        if cell == "centred":
+            graph = small_demo_graph
+        elif cell == "jittered":
+            graph = build_cell_graph(holes=[(0.513, 0.479, 0.1, 0.3)], grid=GridSpec(32))
+            assert graph.verified_symmetries() == ()
+        else:
+            graph = broken_symmetry(small_demo_graph, cell)
+        assert graph.fold_structure()[2] > DENSE_LIMIT
+        complex_path = bands._smallest_eigenvalues(*folded_matrices(graph, OFF_GRID), 6)
+        factored = recorded_dtypes(monkeypatch, bands.spla, "splu")
+        lam = theta_spectrum(graph, OFF_GRID, 6)
+        assert factored and set(factored) == {np.dtype(dtype)}
+        assert np.all(np.abs(lam - complex_path) <= 1e-12 * np.abs(complex_path))
+
+    def test_candidates_verified_once(self, monkeypatch):
+        calls = []
+        verify = bands.character_map
+        monkeypatch.setattr(bands, "character_map", lambda graph, perm: calls.append(perm) or verify(graph, perm))
+        graph = build_cell_graph(grid=GridSpec(8))
+        assert len(calls) == len(graph.symmetry_candidates) == len(graph.verified_symmetries()) == 7
+        band_structure(graph, theta_resolution=4, K=4)
+        character_orbits(graph, 4)
+        theta_spectrum(graph, OFF_GRID, 4)
+        assert len(calls) == 7
 
 
 def blas_counts():

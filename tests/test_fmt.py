@@ -1,11 +1,11 @@
-"""CSV rows formatted through one %-template give the bytes of the per-cell
-formatting they replace."""
+"""CSV rows and flat JSON float lists formatted through one %-template give
+the bytes of the per-cell formatting they replace."""
 
 import math
 
 import pytest
 
-from gapforge._fmt import csv_lines, fmt_real
+from gapforge._fmt import csv_lines, dumps_json, fmt_real
 from gapforge.cli import MAX_COUNT
 from gapforge.design import HomogenizedModel
 from gapforge.dispersion import sample_curve
@@ -53,3 +53,19 @@ def test_dispersion_curve_with_pole_sample():
     lines = csv_lines(header, samples)
     assert lines == reference_lines(header, samples)
     assert len(lines) == 258 and "1,NaN,1" in lines
+
+
+@pytest.mark.parametrize("values", [
+    [1.5, math.nan, math.inf, -math.inf, -0.0, 0.1],
+    (5e-324, 1e308, 1e16, 1e21, 1e-5, 123456789012345678.0),
+    [2.0],
+])
+def test_dumps_json_float_list_matches_per_element(values):
+    assert dumps_json(values) == "[" + ", ".join(fmt_real(v) for v in values) + "]"
+    assert dumps_json({"a": {"b": values}}, indent=2) == (
+        '{\n    "a": {\n      "b": [' + ", ".join(fmt_real(v) for v in values) + "]\n    }\n  }"
+    )
+
+
+def test_dumps_json_mixed_flat_list_unchanged():
+    assert dumps_json([1.0, 2, True, None, "x", math.nan]) == '[1, 2, true, null, "x", NaN]'
