@@ -15,20 +15,23 @@ theta = pi.  The ground state is zonal, so the
 first eigenvalue of the reduction is the first eigenvalue of the cell;
 higher entries are the *zonal* spectrum only.
 
-Its eigenvalues take one path: dstebz predicts, two Sturm counts certify,
-and ``dispersion``'s bracketer bisects the rest (46-53 counts each at n = 2).
+Its eigenvalues take one path, in LAPACK but for the loop over them:
+dstebz predicts, dgtsv solves the refinement steps, two Sturm counts
+(dlaebz) certify, and ``dispersion``'s bracketer bisects the rest (46-53
+counts each at n = 2).
 Results are numbers; ``cli`` lays them out as artifacts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .design import BubbleGeometry, channel_sigma_rho, sphere_measure
 from .dispersion import bisect, bracket
@@ -128,18 +131,27 @@ def angular_integral_F(theta: float | np.ndarray, n: int) -> float | np.ndarray:
 # explicit trial function and its Rayleigh quotient
 
 
-def cutoff_profile(theta: float | np.ndarray) -> np.ndarray:
-    """C^2 cutoff in t = theta/pi: 1 on t <= 1/4, 0 on t >= 1/2."""
+def _cutoff_window(theta: float | np.ndarray, junction: float) -> tuple[np.ndarray, float]:
+    """Position s in [0, 1] of theta in the cutoff window [t0, 1/2] of t =
+    theta/pi, t0 = max(1/4, junction/pi), and the window's width."""
     t = np.asarray(theta, dtype=float) / math.pi
-    s = np.clip((t - 0.25) / 0.25, 0.0, 1.0)
+    t0 = max(0.25, junction / math.pi)
+    width = 0.5 - t0
+    return np.clip((t - t0) / width, 0.0, 1.0), width
+
+
+def cutoff_profile(theta: float | np.ndarray, junction: float = 0.0) -> np.ndarray:
+    """C^2 cutoff in t = theta/pi: 1 on t <= t0, 0 on t >= 1/2, where the
+    window starts at t0 = max(1/4, junction/pi).  So the cutoff is 1 at a
+    junction angle Theta, also at Theta >= pi/4."""
+    s, _ = _cutoff_window(theta, junction)
     return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def cutoff_profile_deriv(theta: float | np.ndarray) -> np.ndarray:
-    t = np.asarray(theta, dtype=float) / math.pi
-    s = np.clip((t - 0.25) / 0.25, 0.0, 1.0)
+def cutoff_profile_deriv(theta: float | np.ndarray, junction: float = 0.0) -> np.ndarray:
+    s, width = _cutoff_window(theta, junction)
     ds = -30.0 * s * s * (1.0 - s) ** 2
-    return ds / (0.25 * math.pi)
+    return ds / (width * math.pi)
 
 
 @dataclass(frozen=True)
@@ -271,8 +283,8 @@ def _rayleigh_integrals(tf: TrialFunction, density: int) -> tuple[float, float]:
     x, wq = _gauss(mesh_c[:-1, None], mesh_c[1:, None], _GL_NODES, _GL_WEIGHTS)
     s = np.sin(x)
     F_nodes = angular_integral_F(x, n)
-    phi = cutoff_profile(x)
-    dv = tf.C * (s ** (1 - n) * phi + F_nodes * cutoff_profile_deriv(x))
+    phi = cutoff_profile(x, tf.theta)
+    dv = tf.C * (s ** (1 - n) * phi + F_nodes * cutoff_profile_deriv(x, tf.theta))
     v = 1.0 + tf.C * F_nodes * phi
     num_cap = float(np.sum(wq * (dv * s ** ((n - 1) / 2)) ** 2))
     den_cap = float(np.sum(wq * v**2 * s ** (n - 1)))
@@ -428,25 +440,25 @@ def _refine_eigenvalue(
     Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2, u_{-1} = 0
     at the clamped node.  Both sums have only nonnegative terms, so the
     quotient is relatively accurate even though the pencil entries span many
-    orders of magnitude.  A shifted pencil that is exactly singular (as at
-    some dstebz predictions) is shifted one ulp up and solved once more.
-    None when that is singular too or the result leaves REFINE_WINDOW."""
-    n = len(diag)
-    ab = np.zeros((3, n))
+    orders of magnitude.  LAPACK dgtsv solves the shifted pencil (the
+    routine ``solve_banded`` dispatches to, without its argument checks).  A
+    shifted pencil that is exactly singular (as at some dstebz predictions)
+    is shifted one ulp up and solved once more.  None when that is singular
+    too or the result leaves REFINE_WINDOW."""
     rng = np.random.default_rng(0x5EED + seed)
-    start = rng.standard_normal(n)
+    start = rng.standard_normal(len(diag))
     start /= math.sqrt(float(np.sum(mass * start * start)))
-    ab[0, 1:] = ab[2, :-1] = off
     for shift in (lam, math.nextafter(lam, math.inf)):
-        ab[1, :] = diag - shift * mass
+        d = diag - shift * mass
         u = start
-        try:
-            for _ in range(2):
-                u = solve_banded((1, 1), ab, mass * u)
-                u /= math.sqrt(float(np.sum(mass * u * u)))
+        for _ in range(2):
+            # dgtsv overwrites copies of off and d, and the temporary right side
+            u, info = dgtsv(off, d, off, mass * u, overwrite_b=True)[3:]
+            if info != 0:
+                break
+            u /= math.sqrt(float(np.sum(mass * u * u)))
+        else:
             break
-        except np.linalg.LinAlgError:
-            continue
     else:
         return None
     refined = float(np.sum(k * np.diff(u, prepend=0.0) ** 2)) / float(np.sum(mass * u * u))
@@ -455,22 +467,66 @@ def _refine_eigenvalue(
     return refined
 
 
-def _sturm_count(Kd: list[float], Ke: list[float], Md: list[float], lam: float) -> int:
+def _capsule_address(capsule: object) -> int:
+    """The C pointer a PyCapsule holds, looked up under the capsule's own name."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return pointer(capsule, name(capsule))
+
+
+# LAPACK's bisection kernel dlaebz, as scipy's cython_lapack exports it: all
+# 20 arguments by reference (IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL,
+# RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO)
+_DLAEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(
+    _capsule_address(cython_lapack.__pyx_capi__["dlaebz"])
+)
+
+
+class _SturmPencil:
+    """The tridiagonal pencil (K, M) and the dlaebz arguments that count its
+    eigenvalues below a shift.  dlaebz reads raw addresses, so the instance
+    owns every array they point into for as long as it lives."""
+
+    __slots__ = ("diag", "mass", "d", "e2", "ints", "reals", "ab", "nab", "scratch", "iscratch", "args")
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray, mass: np.ndarray):
+        if not (diag.ndim == 1 and mass.shape == diag.shape and off.shape == (len(diag) - 1,)):
+            raise ValueError(f"pencil of shapes {diag.shape}, {off.shape}, {mass.shape}")
+        self.diag, self.mass = diag, mass
+        self.d = np.empty(len(diag))  # D = diag - lam * mass, rewritten per count
+        self.e2 = np.square(off, dtype=float)  # a new contiguous float64 array, as dlaebz reads it
+        # IJOB = 1 (count at both ends of each interval), NITMAX, N, MMAX = 1, MINP = 1, NBMIN
+        self.ints = np.array([1, 0, len(diag), 1, 1, 0], dtype=np.intc)
+        self.reals = np.array([0.0, 0.0, _PIVMIN])  # ABSTOL, RELTOL, PIVMIN
+        self.ab = np.zeros(2)  # the interval [0, 0]: the shift is in D
+        self.nab = np.zeros(2, dtype=np.intc)
+        self.scratch = np.zeros(4)  # E, C, WORK: IJOB = 1 reads none of them
+        self.iscratch = np.zeros(4, dtype=np.intc)  # NVAL, MOUT, IWORK, INFO
+        i, r = self.ints.ctypes.data, self.reals.ctypes.data
+        s, si = self.scratch.ctypes.data, self.iscratch.ctypes.data
+        ni, nr = self.ints.itemsize, self.reals.itemsize
+        self.args = (
+            *(i + j * ni for j in range(6)), r, r + nr, r + 2 * nr,
+            self.d.ctypes.data, s, self.e2.ctypes.data, si, self.ab.ctypes.data, s + nr,
+            si + ni, self.nab.ctypes.data, s + 2 * nr, si + 2 * ni, si + 3 * ni,
+        )
+
+
+def _sturm_count(pencil: _SturmPencil, lam: float) -> int:
     """Number of pencil eigenvalues below ``lam``: negative pivots of the
-    LDL^T factorization of K - lam*M (Wilkinson-guarded)."""
-    count = 0
-    p = Kd[0] - lam * Md[0]
-    if abs(p) < _PIVMIN:
-        p = -_PIVMIN
-    if p < 0.0:
-        count += 1
-    for i in range(1, len(Kd)):
-        p = (Kd[i] - lam * Md[i]) - Ke[i - 1] * Ke[i - 1] / p
-        if abs(p) < _PIVMIN:
-            p = -_PIVMIN
-        if p < 0.0:
-            count += 1
-    return count
+    LDL^T factorization of K - lam*M (Wilkinson-guarded).  dlaebz with IJOB
+    = 1 runs the recurrence p_j = D_j - E2_(j-1) / p_(j-1) - 0 on D = diag -
+    lam*mass and E2 = off^2, replaces |p| < PIVMIN by -PIVMIN and counts p <=
+    0.  These are the operations of the guarded recurrence written out in
+    Python, rounded alike, so the counts are the same.  A shift that
+    overflows lam*mass counts as it would in Python, without a warning."""
+    with np.errstate(over="ignore"):
+        np.multiply(pencil.mass, lam, out=pencil.d)
+        np.subtract(pencil.diag, pencil.d, out=pencil.d)
+    _DLAEBZ(*pencil.args)
+    return int(pencil.nab[0])
 
 
 def _predict_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k: int) -> np.ndarray:
@@ -517,11 +573,11 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
         )
     if k < 1 or k > len(diag):
         raise ResolutionError(f"k={k} eigenvalues requested from a {len(diag)}-unknown cell")
-    Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
+    pencil = _SturmPencil(diag, off, mass)
     vals: list[float] = []
     floor = 0.0  # below the kk-th eigenvalue: count - kk < 0 there
     for kk, guess in enumerate(_predict_eigenvalues(diag, off, mass, k).tolist(), start=1):
-        g = lambda lam: _sturm_count(Kd, Ke, Md, lam) - kk
+        g = lambda lam: _sturm_count(pencil, lam) - kk
         r = _refine_eigenvalue(cond, diag, off, mass, guess, kk) if guess > floor else None
         p = r if r is not None else (vals[-1] if vals else float(np.min(diag / mass)))
         lo, hi = bracket(g, p, REFINE_WINDOW, floor, math.inf)

@@ -517,6 +517,25 @@ def exact_rayleigh_quotient(cell: RadialCell, lam: float) -> Fraction:
     return sum(ki * d * d for ki, d in zip(k, du)) / sum(mi * v * v for mi, v in zip(m, x))
 
 
+def sturm_count_as_first_written(Kd: list[float], Ke: list[float], Md: list[float], lam: float) -> int:
+    """``cell._sturm_count`` as first written: the Wilkinson-guarded LDL^T
+    recurrence of K - lam*M in Python floats, counting negative pivots.  The
+    oracle of the dlaebz count, which must match it exactly."""
+    count = 0
+    p = Kd[0] - lam * Md[0]
+    if abs(p) < 1e-300:
+        p = -1e-300
+    if p < 0.0:
+        count += 1
+    for i in range(1, len(Kd)):
+        p = (Kd[i] - lam * Md[i]) - Ke[i - 1] * Ke[i - 1] / p
+        if abs(p) < 1e-300:
+            p = -1e-300
+        if p < 0.0:
+            count += 1
+    return count
+
+
 def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     """First k eigenvalues of the radial pencil as ``cell.radial_eigenvalues``
     computed them before it predicted with dstebz: bisection on Sturm counts
@@ -530,18 +549,7 @@ def reference_radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
     diag = cond + np.append(cond[1:], 0.0)
     off = -cond[1:]
     Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
-
-    def count(lam):
-        c, p = 0, Kd[0] - lam * Md[0]
-        if abs(p) < 1e-300:
-            p = -1e-300
-        c += p < 0.0
-        for i in range(1, len(Kd)):
-            p = (Kd[i] - lam * Md[i]) - Ke[i - 1] * Ke[i - 1] / p
-            if abs(p) < 1e-300:
-                p = -1e-300
-            c += p < 0.0
-        return c
+    count = lambda lam: sturm_count_as_first_written(Kd, Ke, Md, lam)
 
     def refine(lam, seed):
         n = len(diag)

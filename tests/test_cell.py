@@ -1,10 +1,15 @@
+import gc
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
 import gapforge.cell as cell_module
+from gapforge import cli
 from gapforge.cell import (
     RadialCell,
     angular_integral_F,
@@ -30,6 +35,7 @@ from helpers import (
     exact_rayleigh_quotient,
     random_gap_spec,
     reference_radial_eigenvalues,
+    sturm_count_as_first_written,
 )
 
 
@@ -165,6 +171,44 @@ class TestTrialFunction:
         assert np.all(phi[theta <= math.pi / 4] == 1.0)
         assert np.all(phi[theta >= math.pi / 2] == 0.0)
         assert np.all((phi >= 0) & (phi <= 1))
+
+
+# (n, eps) at which the junction angle of the [1,2] design passes pi/4
+WIDE_JUNCTIONS = ((24, 0.1), (40, 0.1), (72, 0.9))
+
+
+class TestWideJunction:
+    """Past Theta = pi/4 the cutoff window starts at Theta, so the cap value
+    1 + C F phi meets the annulus value 1 + C F at the junction."""
+
+    @pytest.mark.parametrize("n, eps", WIDE_JUNCTIONS)
+    def test_cutoff_is_one_at_the_junction(self, n, eps):
+        base, _ = design_geometry(validate_gap_spec([(1, 2)], n), 0.5)
+        theta = eps_scale(base, eps).channels[0].theta
+        assert theta > math.pi / 4
+        assert cutoff_profile(theta, theta) == 1.0
+        assert cell_module.cutoff_profile_deriv(theta, theta) == 0.0
+        assert cutoff_profile(0.5 * math.pi, theta) == 0.0
+
+    def test_narrow_junction_keeps_the_quarter_window(self):
+        theta = np.linspace(0.0, math.pi, 101)
+        for junction in (0.0, 0.1, math.pi / 4):
+            assert np.array_equal(cutoff_profile(theta, junction), cutoff_profile(theta))
+            assert np.array_equal(cell_module.cutoff_profile_deriv(theta, junction),
+                                  cell_module.cutoff_profile_deriv(theta))
+
+    @pytest.mark.parametrize("n, eps", WIDE_JUNCTIONS)
+    def test_bound_lies_above_the_fine_mesh(self, n, eps):
+        # the raw discrete value at 1536 nodes per segment sits above the
+        # eigenvalue; the bound must lie above it too
+        base, _ = design_geometry(validate_gap_spec([(1, 2)], n), 0.5)
+        geom = eps_scale(base, eps)
+        mesh = radial_eigenvalues(build_radial_cell(geom, 0, 1536), 1)[0]
+        assert trial_rayleigh(geom, 0).quotient >= mesh
+
+    def test_cell_eigs_dim_40_passes(self, tmp_path):
+        argv = ["cell-eigs", "--intervals", "1,2", "--dim", "40", "--eps", "0.1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
 
 
 class TestRayleighAndFlux:
@@ -415,17 +459,19 @@ class TestRadialEngine:
         # the first solve at the prediction and the first one ulp above it
         # are singular, as at a prediction that is an exact eigenvalue of
         # both shifted pencils: the refinement of the prediction fails, that
-        # of the bisection midpoint (two solves) does not
-        real_solve = cell_module.solve_banded
+        # of the bisection midpoint (two solves) does not.  dgtsv reports a
+        # singular pivot as info > 0
+        real_solve = cell_module.dgtsv
         calls = []
 
-        def singular_first(*args):
+        def singular_first(*args, **kwargs):
             calls.append(None)
             if len(calls) % 4 in (1, 2):
-                raise np.linalg.LinAlgError("singular matrix")
-            return real_solve(*args)
+                du2, d, du, x, _ = real_solve(*args, **kwargs)
+                return du2, d, du, x, 1
+            return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(cell_module, "solve_banded", singular_first)
+        monkeypatch.setattr(cell_module, "dgtsv", singular_first)
         for cell, k in ((designed_cell(0.05, 128), 3), (disk_cell(2, 0.25, 1024), 2)):
             calls.clear()
             got = radial_eigenvalues(cell, k)
@@ -453,13 +499,143 @@ class TestRadialEngine:
 
     def test_certified_window_encloses_each_eigenvalue(self):
         cell = designed_cell(0.05, 384)
-        cond, mass = cell_module._assemble_path(cell)
-        diag, off = cell_module._tridiagonal(cond)
-        Kd, Ke, Md = diag.tolist(), off.tolist(), mass.tolist()
+        pencil = cell_module._SturmPencil(*pencil_arrays(cell))
         eta = cell_module.REFINE_WINDOW
         for kk, lam in enumerate(radial_eigenvalues(cell, 5), start=1):
-            assert cell_module._sturm_count(Kd, Ke, Md, lam * (1 - eta)) == kk - 1
-            assert cell_module._sturm_count(Kd, Ke, Md, lam * (1 + eta)) >= kk
+            assert cell_module._sturm_count(pencil, lam * (1 - eta)) == kk - 1
+            assert cell_module._sturm_count(pencil, lam * (1 + eta)) >= kk
+
+
+def golden_radial_cells():
+    """(label, cell, k) of every radial solve behind tests/golden: [1,2] at
+    n = 3, kappa 0.5 and 2, eps 0.2 and 0.1, at N = 128 and 2N."""
+    cases = []
+    for kappa in (0.5, 2.0):
+        base, _ = design_geometry(validate_gap_spec([(1, 2)], 3), kappa)
+        for eps in (0.2, 0.1):
+            for res in (128, 256):
+                cases.append((f"golden-kappa{kappa}-eps{eps}-res{res}",
+                              build_radial_cell(eps_scale(base, eps), 0, res), 3))
+    return cases
+
+
+COUNT_CELLS = SEEDED_CELLS + golden_radial_cells()
+
+
+def pencil_arrays(cell):
+    cond, mass = cell_module._assemble_path(cell)
+    diag, off = cell_module._tridiagonal(cond)
+    return diag, off, mass
+
+
+def count_shifts(cell, k, rng):
+    """Shifts at r(1 -+ REFINE_WINDOW) around the first k eigenvalues r, at
+    the eigenvalues, random ones up to twice the k-th, 0, negatives and
+    +-1e300."""
+    lam = radial_eigenvalues(cell, k)
+    eta = cell_module.REFINE_WINDOW
+    return [*(lam * (1 - eta)), *(lam * (1 + eta)), *lam, *rng.uniform(0.0, 2.0 * lam[-1], 8),
+            0.0, -0.0, -1.0, -lam[0], 1e300, -1e300]
+
+
+class TestSturmCount:
+    @pytest.mark.parametrize("label,cell,k", COUNT_CELLS, ids=[c[0] for c in COUNT_CELLS])
+    def test_matches_python_recurrence(self, label, cell, k):
+        diag, off, mass = pencil_arrays(cell)
+        pencil = cell_module._SturmPencil(diag, off, mass)
+        lists = diag.tolist(), off.tolist(), mass.tolist()
+        for lam in count_shifts(cell, k, np.random.default_rng(len(diag))):
+            assert cell_module._sturm_count(pencil, lam) == sturm_count_as_first_written(*lists, lam), lam
+
+    # every guarded pivot but the first is followed by a zero coupling, so
+    # the guard alone decides whether it counts
+    @pytest.mark.parametrize("diag, off, lam, expect", [
+        # p1 = 1 - 1/1 is exactly 0: guarded to -PIVMIN and counted
+        ([1.0, 1.0, 1.0], [-1.0, -1.0], 0.0, 1),
+        ([1.0, 1.0, 1.0], [-1.0, 0.0], 0.0, 1),
+        # pivots in 0 < |p| < PIVMIN, normal and subnormal: counted as -PIVMIN
+        ([1e-301, 2.0], [0.0], 0.0, 1),
+        ([1.0, 1e-305, 3.0], [0.0, 0.0], 0.0, 1),
+        ([1.0, 5e-324, 3.0], [0.0, 0.0], 0.0, 1),
+        # a pivot of exactly PIVMIN is not guarded
+        ([1.0, 1e-300, 3.0], [0.0, 0.0], 0.0, 0),
+        # (1 - 2) - 0/p at the shift 2: both pivots negative
+        ([1.0, 1.0], [0.0], 2.0, 2),
+    ])
+    def test_guarded_pivots(self, diag, off, lam, expect):
+        diag, off = np.array(diag), np.array(off)
+        mass = np.ones(len(diag))
+        pencil = cell_module._SturmPencil(diag, off, mass)
+        assert sturm_count_as_first_written(diag.tolist(), off.tolist(), mass.tolist(), lam) == expect
+        assert cell_module._sturm_count(pencil, lam) == expect
+
+    def test_overflowing_shift_counts_without_a_warning(self):
+        # lam * mass overflows to inf in the first entry, as in Python floats;
+        # the tier-1 run turns a RuntimeWarning into an error
+        diag, off, mass = np.ones(2), np.zeros(1), np.array([1e10, 1.0])
+        lists = diag.tolist(), off.tolist(), mass.tolist()
+        for lam in (1e300, -1e300):
+            expect = sturm_count_as_first_written(*lists, lam)
+            assert cell_module._sturm_count(cell_module._SturmPencil(diag, off, mass), lam) == expect
+        assert expect == 0
+
+    def test_rejects_mismatched_shapes(self):
+        # dlaebz reads E2 by address: a short off-diagonal would be read past its end
+        for diag, off, mass in ((3, 3, 3), (3, 1, 3), (3, 2, 2)):
+            with pytest.raises(ValueError, match="pencil of shapes"):
+                cell_module._SturmPencil(np.ones(diag), np.ones(off), np.ones(mass))
+
+    def test_counts_after_garbage_collection(self):
+        # the pencil holds every array dlaebz reads by address: its inputs
+        # are temporaries here, collected and their memory reused before the
+        # counts
+        cases = [(label, cell, k) for label, cell, k in SEEDED_CELLS if label.startswith(("n2-", "disk-"))]
+        pencils = [cell_module._SturmPencil(*pencil_arrays(cell)) for _, cell, _ in cases]
+        gc.collect()
+        junk = [np.full(len(p.diag), np.nan) for p in pencils for _ in range(4)]
+        for pencil, (_, cell, k) in zip(pencils, cases):
+            lists = [a.tolist() for a in pencil_arrays(cell)]
+            for lam in count_shifts(cell, k, np.random.default_rng(7)):
+                assert cell_module._sturm_count(pencil, lam) == sturm_count_as_first_written(*lists, lam)
+        assert all(np.isnan(a).all() for a in junk)
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, registered for the run of one test (its
+    dataclasses look their module up by name)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class OraclePencil:
+    """A pencil counted by the Python recurrence."""
+
+    def __init__(self, diag, off, mass):
+        self.lists = diag.tolist(), off.tolist(), mass.tolist()
+
+
+def test_radial_ladder_bit_identical_to_python_counts(tmp_path, monkeypatch):
+    # the five jobs of one benchmark round (seed 1): their artifacts, every
+    # eigenvalue in full precision, are the same bytes with either count
+    jobs = load_workloads(monkeypatch).build("radial-ladder", 1).jobs
+    assert len(jobs) == 5
+
+    def run(root):
+        for job in jobs:
+            cfg = cli.load_config(None, {**job.config, "out": str(root / job.key)})
+            assert all(check["pass"] for check in cli.run_pipeline(cfg).checks)
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    compiled = run(tmp_path / "dlaebz")
+    monkeypatch.setattr(cell_module, "_SturmPencil", OraclePencil)
+    monkeypatch.setattr(cell_module, "_sturm_count",
+                        lambda pencil, lam: sturm_count_as_first_written(*pencil.lists, lam))
+    assert run(tmp_path / "python") == compiled
+    assert len(compiled) == 5
 
 
 class TestReferenceLimits:
