@@ -15,10 +15,12 @@ theta = pi.  The ground state is zonal, so the
 first eigenvalue of the reduction is the first eigenvalue of the cell;
 higher entries are the *zonal* spectrum only.
 
-Its eigenvalues take one path, in LAPACK but for the loop over them:
-dstebz predicts, dgtsv solves the refinement steps, two Sturm counts
-(dlaebz) certify, and ``dispersion``'s bracketer bisects the rest (46-53
-counts each at n = 2).
+Its eigenvalues take one path, in LAPACK but for the loop over them: a
+prediction, refinement steps solved by dgtsv, two Sturm counts (dlaebz)
+that certify, and ``dispersion``'s bracketer, which bisects the rest (46-53
+counts each at n = 2).  Of the (N, 2N) mesh pair behind a ``RadialRow``,
+dstebz predicts on the N mesh; on the 2N mesh the N values are the shifts
+of a few dgtsv inverse-iteration steps whose Rayleigh quotients predict.
 Results are numbers; ``cli`` lays them out as artifacts.
 """
 
@@ -433,25 +435,25 @@ REFINE_WINDOW = 1e-6
 _PIVMIN = 1e-300
 
 
-def _refine_eigenvalue(
-    k: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: np.ndarray, lam: float, seed: int
+def _inverse_iteration(
+    k: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: np.ndarray, shift: float, seed: int, steps: int
 ) -> float | None:
-    """Polish a pencil eigenvalue estimate by inverse iteration plus the
-    Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2, u_{-1} = 0
-    at the clamped node.  Both sums have only nonnegative terms, so the
-    quotient is relatively accurate even though the pencil entries span many
-    orders of magnitude.  LAPACK dgtsv solves the shifted pencil (the
+    """Rayleigh quotient sum k_i (u_i - u_{i-1})^2 / sum m_i u_i^2, u_{-1} = 0
+    at the clamped node, of ``steps`` inverse-iteration steps at ``shift``
+    from a seeded random start.  Both sums have only nonnegative terms, so
+    the quotient is relatively accurate even though the pencil entries span
+    many orders of magnitude.  LAPACK dgtsv solves the shifted pencil (the
     routine ``solve_banded`` dispatches to, without its argument checks).  A
     shifted pencil that is exactly singular (as at some dstebz predictions)
-    is shifted one ulp up and solved once more.  None when that is singular
-    too or the result leaves REFINE_WINDOW."""
+    is shifted one ulp up and solved once more; None when that is singular
+    too."""
     rng = np.random.default_rng(0x5EED + seed)
     start = rng.standard_normal(len(diag))
     start /= math.sqrt(float(np.sum(mass * start * start)))
-    for shift in (lam, math.nextafter(lam, math.inf)):
-        d = diag - shift * mass
+    for s in (shift, math.nextafter(shift, math.inf)):
+        d = diag - s * mass
         u = start
-        for _ in range(2):
+        for _ in range(steps):
             # dgtsv overwrites copies of off and d, and the temporary right side
             u, info = dgtsv(off, d, off, mass * u, overwrite_b=True)[3:]
             if info != 0:
@@ -461,10 +463,37 @@ def _refine_eigenvalue(
             break
     else:
         return None
-    refined = float(np.sum(k * np.diff(u, prepend=0.0) ** 2)) / float(np.sum(mass * u * u))
-    if not math.isfinite(refined) or abs(refined - lam) > REFINE_WINDOW * (abs(lam) + 1e-300):
+    return float(np.sum(k * np.diff(u, prepend=0.0) ** 2)) / float(np.sum(mass * u * u))
+
+
+def _refine_eigenvalue(
+    k: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: np.ndarray, lam: float, seed: int
+) -> float | None:
+    """Polish a pencil eigenvalue estimate by two inverse-iteration steps and
+    the Rayleigh quotient (``_inverse_iteration``).  None when the shifted
+    pencil is singular or the result leaves REFINE_WINDOW."""
+    refined = _inverse_iteration(k, diag, off, mass, lam, seed, 2)
+    window = REFINE_WINDOW * (abs(lam) + 1e-300)
+    if refined is None or not math.isfinite(refined) or abs(refined - lam) > window:
         return None
     return refined
+
+
+# inverse-iteration steps that turn a shift transferred from a coarser mesh
+# into a prediction
+TRANSFER_STEPS = 3
+
+
+def _transfer_predictions(
+    k: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: np.ndarray, shifts: Sequence[float]
+) -> np.ndarray:
+    """Predict the first len(shifts) eigenvalues from estimates of them, such
+    as the eigenvalues of the same cell on a coarser mesh: the Rayleigh
+    quotient of TRANSFER_STEPS inverse-iteration steps at each shift, NaN
+    where the shifted pencil is singular."""
+    out = [_inverse_iteration(k, diag, off, mass, shift, kk, TRANSFER_STEPS)
+           for kk, shift in enumerate(shifts, start=1)]
+    return np.array([math.nan if lam is None else lam for lam in out])
 
 
 def _capsule_address(capsule: object) -> int:
@@ -546,19 +575,21 @@ def _predict_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k:
     return w[:k] if info == 0 and m == k else np.full(k, math.nan)
 
 
-def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
+def radial_eigenvalues(cell: RadialCell, k: int, shifts: Sequence[float] | None = None) -> np.ndarray:
     """First k eigenvalues of the weighted 1-D problem, ascending.
 
     Predict, refine, certify (after Barth, Martin & Wilkinson, Numer. Math.
-    9 (1967)): dstebz on the standard form predicts the kk-th eigenvalue,
-    ``_refine_eigenvalue`` polishes it to r, and ``dispersion.bracket``
-    grows a bracket of g = (Sturm count of the pencil (K, M)) - kk from
-    r(1 -+ REFINE_WINDOW), above the previous eigenvalue's; the counts stay
-    relatively accurate where the standard-form norm is enormous.  If the
-    bracket had to widen, ``dispersion.bisect`` halves it to relative width
-    EIG_RTOL and the midpoint is polished.  Without a usable prediction the
-    bracket grows from the previous eigenvalue, or from min K_ii/M_ii >=
-    lambda_1.  Deterministic.
+    9 (1967)): dstebz on the standard form predicts the kk-th eigenvalue
+    (given k ``shifts``, estimates such as the eigenvalues of a coarser
+    mesh, ``_transfer_predictions`` does), ``_refine_eigenvalue`` polishes
+    it to r, and ``dispersion.bracket`` grows a bracket of g = (Sturm
+    count of the pencil (K, M)) - kk from r(1 -+ REFINE_WINDOW), above the
+    previous eigenvalue's; the counts stay relatively accurate where the
+    standard-form norm is enormous.  If the bracket had to widen,
+    ``dispersion.bisect`` halves it to relative width EIG_RTOL and the
+    midpoint is polished.  Without a usable prediction the bracket grows
+    from the previous eigenvalue, or from min K_ii/M_ii >= lambda_1.
+    Deterministic.
     """
     for size in cell.segment_sizes:
         if size < 64:
@@ -573,10 +604,16 @@ def radial_eigenvalues(cell: RadialCell, k: int) -> np.ndarray:
         )
     if k < 1 or k > len(diag):
         raise ResolutionError(f"k={k} eigenvalues requested from a {len(diag)}-unknown cell")
+    if shifts is None:
+        predictions = _predict_eigenvalues(diag, off, mass, k)
+    elif len(shifts) == k:
+        predictions = _transfer_predictions(cond, diag, off, mass, shifts)
+    else:
+        raise ValueError(f"{len(shifts)} shifts for k={k} eigenvalues")
     pencil = _SturmPencil(diag, off, mass)
     vals: list[float] = []
     floor = 0.0  # below the kk-th eigenvalue: count - kk < 0 there
-    for kk, guess in enumerate(_predict_eigenvalues(diag, off, mass, k).tolist(), start=1):
+    for kk, guess in enumerate(predictions.tolist(), start=1):
         g = lambda lam: _sturm_count(pencil, lam) - kk
         r = _refine_eigenvalue(cond, diag, off, mass, guess, kk) if guess > floor else None
         p = r if r is not None else (vals[-1] if vals else float(np.min(diag / mass)))
@@ -643,18 +680,19 @@ class RadialRow:
 
 
 def radial_row(geom: EpsGeometry, j: int, resolution: int, k: int) -> RadialRow:
-    """Solve channel j of ``geom`` at N = resolution (k eigenvalues) and 2N
-    (two).  lambda1 is the Richardson mesh limit over (N, 2N): the scheme
-    is second order, so the extrapolation removes the h^2 term, while the
-    raw discrete value approaches the eigenvalue from above and would mask
-    the min-max margin once it shrinks below the mesh error.  lambda1 of a
-    k = 2 solve is the k = 1 value to within the certified window (bit for
-    bit on every cell measured)."""
-    coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), k).tolist()
-    fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2).tolist()
+    """Solve channel j of ``geom`` at N = resolution (max(k, 2) eigenvalues,
+    predicted by dstebz; the first k are reported) and 2N (two, predicted
+    from the N values as shifts).  lambda1 is the Richardson mesh limit over
+    (N, 2N): the scheme is second order, so the extrapolation removes the
+    h^2 term, while the raw discrete value approaches the eigenvalue from
+    above and would mask the min-max margin once it shrinks below the mesh
+    error.  lambda1 of a k = 2 solve is the k = 1 value to within the
+    certified window (bit for bit on every cell measured)."""
+    coarse = radial_eigenvalues(build_radial_cell(geom, j, resolution), max(k, 2)).tolist()
+    fine = radial_eigenvalues(build_radial_cell(geom, j, 2 * resolution), 2, coarse[:2]).tolist()
     lam1 = fine[0] + (fine[0] - coarse[0]) / 3.0
     gauge = abs(fine[0] - coarse[0])
-    return RadialRow(geom.eps, tuple(coarse), lam1, gauge, fine[1], trial_rayleigh(geom, j).quotient)
+    return RadialRow(geom.eps, tuple(coarse[:k]), lam1, gauge, fine[1], trial_rayleigh(geom, j).quotient)
 
 
 def convergence_table(

@@ -326,7 +326,7 @@ def _run_convergence(cfg: RunConfig) -> Report:
     table = ([r.eps, r.lambda1, r.lambda2, r.rayleigh_upper, r.eps * r.eps * r.lambda2, model.sigma[j], Lj,
               cfg.resolution] for r in rows)
     path = _write_csv(cfg, "convergence.csv", header, table)
-    return Report([{"name": "convergence", "pass": True}], [path])
+    return Report([{"name": "convergence", "pass": all(r.bounded for r in rows)}], [path])
 
 
 def _band_structure(cfg: RunConfig) -> BandStructure:

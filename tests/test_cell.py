@@ -638,6 +638,110 @@ def test_radial_ladder_bit_identical_to_python_counts(tmp_path, monkeypatch):
     assert len(compiled) == 5
 
 
+def log_radial_solves(monkeypatch):
+    """One dict per cell.radial_eigenvalues call from here on: its cell, its
+    shifts, its values and the number of bisect calls it made."""
+    solves = []
+    real_solve, real_bisect = cell_module.radial_eigenvalues, cell_module.bisect
+
+    def solve(cell, k, shifts=None):
+        solves.append({"cell": cell, "shifts": shifts, "bisections": 0})
+        solves[-1]["values"] = real_solve(cell, k, shifts)
+        return solves[-1]["values"]
+
+    def bisect(*args):
+        solves[-1]["bisections"] += 1
+        return real_bisect(*args)
+
+    monkeypatch.setattr(cell_module, "radial_eigenvalues", solve)
+    monkeypatch.setattr(cell_module, "bisect", bisect)
+    return solves
+
+
+def golden_rows():
+    """(geometry, resolution, k) of every radial record behind tests/golden:
+    the convergence rows of [1,2] at n = 3, kappa 0.5 and 2, eps 0.2 and
+    0.1, and the cell-eigs job."""
+    rows = []
+    for kappa in (0.5, 2.0):
+        base, _ = design_geometry(validate_gap_spec([(1, 2)], 3), kappa)
+        rows += [(eps_scale(base, eps), 128, 1) for eps in (0.2, 0.1)]
+    return [*rows, (rows[1][0], 128, 3)]
+
+
+class TestMeshTransfer:
+    """radial_row predicts the 2N eigenvalues from the N ones."""
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_one_dstebz_prediction_per_row(self, monkeypatch, k):
+        calls = []
+        real_predict = cell_module._predict_eigenvalues
+        monkeypatch.setattr(cell_module, "_predict_eigenvalues", lambda *a: calls.append(a[-1]) or real_predict(*a))
+        radial_row(eps_scale(designed_geometry()[0], 0.025), 0, 128, k)
+        assert calls == [max(k, 2)]
+
+    def test_row_keeps_k_eigenvalues(self):
+        geom = eps_scale(designed_geometry()[0], 0.1)
+        cell = build_radial_cell(geom, 0, 128)
+        for k in (1, 2, 3):
+            row = radial_row(geom, 0, 128, k)
+            assert len(row.eigenvalues) == k
+            assert row.eigenvalues == tuple(radial_eigenvalues(cell, k).tolist())
+
+    def test_golden_fine_meshes_certified_and_exact(self, monkeypatch):
+        # certified by the first window (no bisection), and each 2N value
+        # within 1e-14 of the exact Rayleigh quotient of its near-eigenvector
+        solves = log_radial_solves(monkeypatch)
+        for geom, resolution, k in golden_rows():
+            row = radial_row(geom, 0, resolution, k)
+            fine = solves[-1]
+            assert fine["shifts"] is not None and fine["bisections"] == 0
+            assert row.lambda2 == fine["values"][1]
+            for lam in fine["values"]:
+                exact = exact_rayleigh_quotient(fine["cell"], lam)
+                assert abs(lam - exact) <= 1e-14 * exact
+
+    def test_radial_ladder_fine_meshes_certified_by_the_first_window(self, tmp_path, monkeypatch):
+        # every job of one benchmark round (seed 1): 15 convergence rows and
+        # the 40-eigenvalue cell-eigs job
+        jobs = load_workloads(monkeypatch).build("radial-ladder", 1).jobs
+        solves = log_radial_solves(monkeypatch)
+        for job in jobs:
+            cli.run_pipeline(cli.load_config(None, {**job.config, "out": str(tmp_path / job.key)}))
+        fine = [s for s in solves if s["shifts"] is not None]
+        assert len(fine) == 16 and len(solves) == 32
+        assert all(s["bisections"] == 0 for s in fine)
+
+    @pytest.mark.parametrize("fault", ["nan", "negative", "next_eigenvalue", "off_by_1e-3"])
+    def test_shift_faults_fall_back(self, monkeypatch, fault):
+        # the fault hits the last shift; a shift off by 1e-3 (a coarse-mesh
+        # error) still converges, the others cost a bracket and bisection
+        counts = count_sturm_passes(monkeypatch)
+        for coarse, fine, k in ((designed_cell(0.05, 128), designed_cell(0.05, 256), 3),
+                                (disk_cell(2, 0.25, 1024), disk_cell(2, 0.25, 2048), 2)):
+            shifts = radial_eigenvalues(coarse, k + 1).tolist()
+            if fault == "nan":
+                shifts[k - 1] = math.nan
+            elif fault == "negative":
+                shifts[k - 1] = -shifts[k - 1]
+            elif fault == "next_eigenvalue":
+                shifts[k - 1] = shifts[k]
+            else:
+                shifts[k - 1] *= 1.0 + 1e-3
+            counts.clear()
+            got = radial_eigenvalues(fine, k, shifts[:k])
+            ref = reference_radial_eigenvalues(fine, k)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+            if fault == "off_by_1e-3":
+                assert len(counts) == 2 * k
+            else:
+                assert 2 * k < len(counts) <= 64 * k
+
+    def test_shift_count_must_match_k(self):
+        with pytest.raises(ValueError, match="shifts"):
+            radial_eigenvalues(designed_cell(0.05, 128), 2, [1.0])
+
+
 class TestReferenceLimits:
     def test_disk_reference_n2(self):
         base = BubbleGeometry(2, ((1.0, 1.0),), kappa=1.0)

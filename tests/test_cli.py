@@ -152,6 +152,18 @@ class TestCommands:
         assert lines[0] == "eps,lambda1,lambda2,rayleigh_upper,eps2_lambda2,sigma_target,Lj_lambda2,resolution"
         assert len(lines) == 3
 
+    def test_convergence_fails_when_the_bound_falls_short(self, tmp_path):
+        # n = 2 at resolution 64: the (64, 128) Richardson pair is far from
+        # its asymptotic range, and at eps 0.2 the mesh limit lies above the
+        # Rayleigh bound, at 0.3 below it.  The table is still written, and
+        # cell-eigs on the failing row exits 1 as well
+        common = ["--intervals", "1,2", "--dim", "2", "--resolution", "64"]
+        assert main(["convergence", *common, "--eps-list", "0.3,0.2", "--out", str(tmp_path)]) == 1
+        header, *rows = read(tmp_path / "convergence.csv").strip().splitlines()
+        rows = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+        assert [r["lambda1"] <= r["rayleigh_upper"] for r in rows] == [True, False]
+        assert main(["cell-eigs", *common, "--eps", "0.2", "--out", str(tmp_path)]) == 1
+
     @pytest.mark.parametrize("dim", [72, 150])
     def test_convergence_high_dimension(self, tmp_path, dim):
         # a 4096-node disk mesh underflows its masses r^(n-1) from n = 72 up;
