@@ -11,7 +11,9 @@ square symmetries that the builder proposes and the graph verifies.  Each
 character is solved in real arithmetic when its pencil is real, or when a
 verified involutive symmetry sends theta to conj theta, as the point
 inversion does at every theta: inversion and time reversal together give a
-real Bloch pencil.
+real Bloch pencil.  A real pencil is then split into the joint +-1
+eigenspaces of the verified involutions that fix theta, and its blocks are
+solved under one inertia certificate.
 
 The builder is 2-D; the theta eigensolver works for any number of paired
 directions.  Results are numbers; ``cli`` lays them out as artifacts.
@@ -42,6 +44,12 @@ ENCLOSURE_SLACK = 1e-8
 _EIGSH_SEED = 0x0BADC0DE
 _CERTIFY_GAP = 1e-9  # relative distance below lambda_k of the inertia count
 _MAX_DEFLATIONS = 3
+# first-pass values of a stabilizer block beyond its share of k: with 2,
+# the demo sweep needs no top-up pass
+_FIRST_PASS_EXTRA = 2
+# how far from +-1 (and 0) the entries of a symmetry's matrix in the real
+# pencil's coordinates may be rounded: a few ulps of its phases
+_PHASE_TOL = 1e-14
 # relative mass and weight mismatch a verified cell symmetry may carry; it
 # moves eigenvalues by about twice as much (see band_structure)
 SYMMETRY_RTOL = 1e-12
@@ -483,10 +491,57 @@ def _shift_invert_pass(K, M, sigma, basis, v0, want):
     return spla.eigsh(op, k=want, which="LA", v0=deflate(v0), tol=1e-10)
 
 
-@_one_blas_thread()
+def _dense_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray:
+    """Ascending k smallest eigenvalues of (K, M) by dense ``eigh``, on one
+    n x n copy in the order LAPACK takes it, scaled in place."""
+    s = 1.0 / np.sqrt(M)
+    A = K.toarray(order="F")
+    A *= s[:, None]
+    A *= s[None, :]
+    vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1), overwrite_a=True)
+    return np.asarray(vals, dtype=float)
+
+
+class _LanczosBlock:
+    """The eigenpairs of one sparse block (K, M) that shift-invert Lanczos
+    has found so far, from a deterministic start vector."""
+
+    def __init__(self, K: sp.csr_matrix, M: np.ndarray, sigma: float):
+        self.K, self.M, self.sigma = K, M, sigma
+        self.nu = np.empty(0)
+        self.vecs = np.empty((K.shape[0], 0), dtype=K.dtype)
+        self.v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(K.shape[0])
+        self.release = _MALLOC_TRIM if K.nnz > _TRIM_NNZ else (lambda pad: 0)
+
+    def values(self) -> np.ndarray:
+        return self.sigma + 1.0 / self.nu
+
+    def extend(self, want: int) -> None:
+        """Find ``want`` more eigenpairs, on the complement of those found."""
+        nu, vecs = _shift_invert_pass(self.K, self.M, self.sigma, self.vecs, self.v0, want)
+        self.release(0)
+        self.nu = np.concatenate([self.nu, nu])
+        self.vecs = np.hstack([self.vecs, vecs])
+
+    def missing(self, cut: float) -> int:
+        """Eigenvalues below ``cut`` by inertia, minus those found below it."""
+        count = _count_below(self.K, self.M, cut)
+        self.release(0)
+        return count - int(np.count_nonzero(self.values() < cut))
+
+
 def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray:
     """Ascending k smallest eigenvalues of the pencil (K, M) with diagonal
-    mass; K drops to real arithmetic when it has no imaginary part.
+    mass: ``_block_eigenvalues`` on the one block (K, M)."""
+    return _block_eigenvalues([(K, M, 1)], k)
+
+
+@_one_blas_thread()
+def _block_eigenvalues(blocks: Sequence[tuple[sp.csr_matrix, np.ndarray, int]], k: int) -> np.ndarray:
+    """Ascending k smallest eigenvalues of a block-diagonal pencil, given as
+    (K, M, copies) blocks with diagonal masses: each block stands for
+    ``copies`` blocks with its spectrum.  K drops to real arithmetic when
+    it has no imaginary part.
 
     Both bundled OpenBLAS copies run on one thread for the whole call and
     get the caller's counts back afterwards (``_one_blas_thread``).  The
@@ -494,55 +549,70 @@ def _smallest_eigenvalues(K: sp.csr_matrix, M: np.ndarray, k: int) -> np.ndarray
     time, and a BLAS call made from another thread during a solve runs on
     one thread too.
 
-    Dense ``eigh`` up to DENSE_LIMIT unknowns (and whenever k >= dim - 1).
-    Above it, shift-invert Lanczos on the standard-form operator
+    A block is solved by dense ``eigh`` up to DENSE_LIMIT unknowns (and
+    whenever it is asked for all but one of its values).  Above it,
+    shift-invert Lanczos on the standard-form operator
     x -> R (K - sigma M)^{-1} R x, R = sqrt(M), from a symmetric-ordered
     SuperLU factorization and a deterministic start vector; its largest
     eigenvalues nu give lambda = sigma + 1/nu.  Single-vector Lanczos can
-    miss a copy of a multiple eigenvalue, so the count below lambda_k is
-    certified by inertia; eigenvalues it shows missing are found by
-    re-running on the complement of the eigenvectors found so far.  At
-    most one factorization is alive at a time: the sigma factor goes when
-    Lanczos returns, before the count factors at the cut, and a re-run
+    miss a copy of a multiple eigenvalue, so the count below the cut
+    lambda_k (1 - _CERTIFY_GAP) is certified by inertia; eigenvalues it
+    shows missing are found by re-running on the complement of the
+    eigenvectors found so far, and the cut moves to the new lambda_k.
+
+    One certificate covers all blocks.  A first pass finds
+    min(dim_b, ceil(k dim_b / dim) + _FIRST_PASS_EXTRA) values of each
+    block (k of a single block; a dense block gives its k smallest, all it
+    can contribute), at least k in all; the cut is taken below the k-th
+    smallest value found over all blocks, and each sparse block gets one
+    inertia count there.
+    A block whose count exceeds its values below the cut gets deflated
+    top-up passes and a count at the moved cut.  The cut only moves down,
+    so a block that matched at a higher cut has all its eigenvalues below
+    the lower one.
+
+    At most one factorization is alive at a time: the sigma factor goes
+    when Lanczos returns, before the count factors at the cut, and a re-run
     factors at sigma again (the same matrix, so the same factor).  The heap
-    is trimmed after each large factor goes (``_find_malloc_trim``).
+    is trimmed after each factor of a matrix with more than _TRIM_NNZ
+    stored entries goes (``_find_malloc_trim``).
     """
-    dim = K.shape[0]
+    blocks = [(K.real if np.iscomplexobj(K) and not np.any(K.data.imag) else K, M, n) for K, M, n in blocks]
+    dim = sum(K.shape[0] * copies for K, _, copies in blocks)
     if k < 1 or k > dim:
         raise GapForgeError(f"k={k} eigenvalues requested from dimension {dim}")
-    if np.iscomplexobj(K) and not np.any(K.data.imag):
-        K = K.real
-    if dim <= DENSE_LIMIT or k >= dim - 1:
-        s = 1.0 / np.sqrt(M)
-        # one n x n copy, in the order LAPACK takes it and scaled in place
-        A = K.toarray(order="F")
-        A *= s[:, None]
-        A *= s[None, :]
-        vals = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(0, k - 1), overwrite_a=True)
-        return np.asarray(vals, dtype=float)
-    release = _MALLOC_TRIM if K.nnz > _TRIM_NNZ else (lambda pad: 0)
-    scale = float(K.diagonal().real.sum() / M.sum())
+    scale = float(sum(copies * K.diagonal().real.sum() for K, _, copies in blocks)
+                  / sum(copies * M.sum() for _, M, copies in blocks))
     sigma = -1e-3 * scale - 1e-12
-    rng = np.random.default_rng(_EIGSH_SEED)
-    v0 = rng.standard_normal(dim)
-    nu = np.empty(0)
-    vecs = np.empty((dim, 0), dtype=K.dtype)
-    want = k
+    values: list[np.ndarray] = []
+    lanczos: dict[int, _LanczosBlock] = {}
+    pending: dict[int, int] = {}  # sparse block -> eigenpairs to find next
+    for b, (K, M, _) in enumerate(blocks):
+        n = K.shape[0]
+        want = k if len(blocks) == 1 else min(n, math.ceil(k * n / dim) + _FIRST_PASS_EXTRA)
+        if n <= DENSE_LIMIT or want >= n - 1:
+            values.append(_dense_eigenvalues(K, M, min(k, n)))
+        else:
+            values.append(np.empty(0))
+            lanczos[b], pending[b] = _LanczosBlock(K, M, sigma), want
     for _ in range(1 + _MAX_DEFLATIONS):
-        nu_new, vecs_new = _shift_invert_pass(K, M, sigma, vecs, v0, want)
-        release(0)
-        nu = np.concatenate([nu, nu_new])
-        vecs = np.hstack([vecs, vecs_new])
-        lam = np.sort(sigma + 1.0 / nu)[:k]
+        for b, want in pending.items():
+            lanczos[b].extend(want)
+            values[b] = lanczos[b].values()
+        lam = np.sort(np.concatenate([np.tile(v, c) for v, (_, _, c) in zip(values, blocks)]))[:k]
         # the absolute term keeps the cut below a lambda_k that is zero to
         # rounding (k = 1 at the trivial character, Neumann spectra)
         cut = lam[-1] * (1.0 - _CERTIFY_GAP) - 1e-12 * scale
-        want = _count_below(K, M, cut) - int(np.count_nonzero(lam < cut))
-        release(0)
-        if want == 0:
+        short = {}
+        for b in pending:
+            want = lanczos[b].missing(cut)
+            if want < 0 or len(lanczos[b].nu) + want >= blocks[b][0].shape[0] - 1:
+                raise GapForgeError(f"shift-invert Lanczos: eigenvalue count below {cut:.6g} not certified")
+            if want:
+                short[b] = want
+        if not short:
             return lam
-        if want < 0 or len(nu) + want >= dim - 1:
-            break
+        pending = short
     raise GapForgeError(f"shift-invert Lanczos: eigenvalue count below {cut:.6g} not certified")
 
 
@@ -580,32 +650,53 @@ def folded_matrices(graph: PeriodCellGraph, theta: Sequence[complex]) -> tuple[s
     return K, M
 
 
+def _moved_character(theta: np.ndarray, target: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """theta' with theta'_target[d] = theta_d (sign +1) or conj theta_d (-1):
+    the character a symmetry with character map (target, sign) sends theta
+    to."""
+    moved = np.empty_like(theta)
+    moved[target] = np.where(sign > 0, theta, np.conj(theta))
+    return moved
+
+
+def _involutive(perm: np.ndarray) -> bool:
+    return np.array_equal(perm[perm], np.arange(len(perm)))
+
+
+def _class_map(graph: PeriodCellGraph, perm: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image, phase) of a symmetry on folded vectors at theta: u -> u o perm
+    is x -> U x with U[c, image[c]] = phase[c] = phase(perm(r_c)), r_c the
+    first vertex of class c (whose shift is 0)."""
+    rep, shift, _ = graph.fold_structure()
+    q = perm[np.unique(rep, return_index=True)[1]]
+    return rep[q], np.prod(np.conj(theta)[None, :] ** shift[q], axis=1)
+
+
 def _real_form(
     graph: PeriodCellGraph, theta: np.ndarray, K: sp.csr_matrix, M: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The folded pencil (K, M) at theta in real arithmetic through the
-    first verified involutive symmetry g of ``graph`` whose character map
-    sends theta to conj theta; (K, M) itself if there is none.
+) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix | None]:
+    """(A, D, V): the folded pencil (K, M) at theta in real arithmetic
+    through the first verified involutive symmetry g of ``graph`` whose
+    character map sends theta to conj theta, and the unitary V with
+    x = conj(V) y; (K, M, None) if there is none.
 
     u -> conj(u o g) then maps the theta-periodic functions onto themselves
     and keeps both forms.  On folded vectors it is x -> conj(U x), U the
-    monomial with U[c, image[c]] = phase(g(r_c)), r_c the first vertex of
-    class c (whose shift is 0).  So conj K = U K U^H, and U = U^T because
+    monomial of ``_class_map``.  So conj K = U K U^H, and U = U^T because
     g^2 = id.  V is the block-diagonal Takagi factor U = V V^T: sqrt(d) on
     a class that g fixes, and sqrt(d / 2) [[1, i], [1, -i]] on a swapped
     pair c < image[c], d = U[c, image[c]].  In x = conj(V) y the map is
     y -> conj y, so V^T K conj(V) is real symmetric and V^T M conj(V)
     diagonal, up to the verified mismatch.  Their real parts are the pencil
-    with every mass and weight averaged with its image under g."""
-    rep, shift, dim = graph.fold_structure()
+    with every mass and weight averaged with its image under g; by the
+    min-max argument of ``band_structure`` each eigenvalue moves by a
+    factor of at most (1 + e) / (1 - e).  ``_stabilizer_blocks`` may
+    average the result once more, over the symmetries that fix theta."""
+    dim = K.shape[0]
     for perm, target, sign in graph.verified_symmetries():
-        moved = np.empty_like(theta)
-        moved[target] = np.where(sign > 0, theta, np.conj(theta))
-        if not np.array_equal(moved, np.conj(theta)) or not np.array_equal(perm[perm], np.arange(len(perm))):
+        if not np.array_equal(_moved_character(theta, target, sign), np.conj(theta)) or not _involutive(perm):
             continue
-        q = perm[np.unique(rep, return_index=True)[1]]
-        image = rep[q]
-        d = np.prod(np.conj(theta)[None, :] ** shift[q], axis=1)
+        image, d = _class_map(graph, perm, theta)
         c = np.arange(dim)
         fixed, lo = c == image, c < image
         hi, s = image[lo], np.sqrt(0.5 * d[lo])
@@ -616,8 +707,145 @@ def _real_form(
         A = (V.T @ K @ V.conj()).real
         A = ((A + A.T) * 0.5).tocsr()
         A.eliminate_zeros()
-        return A, 0.5 * (M + M[image])
-    return K, M
+        return A, 0.5 * (M + M[image]), V
+    return K, M, None
+
+
+def _signed_permutation(S: sp.spmatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """(col, sign) with S[r, col[r]] = sign[r] if S is an involutive real
+    signed permutation to _PHASE_TOL, else None.  S is then symmetric, so
+    S e_o = sign[o] e_col[o]."""
+    S = S.tocsr()
+    S.data[np.abs(S.data) <= _PHASE_TOL] = 0
+    S.eliminate_zeros()
+    n = S.shape[0]
+    if not np.all(np.diff(S.indptr) == 1):
+        return None
+    col, sign = S.indices, np.sign(S.data.real)
+    if np.any(np.abs(S.data - sign) > _PHASE_TOL) or not np.array_equal(col[col], np.arange(n)):
+        return None
+    if np.any(sign * sign[col] != 1.0):
+        return None
+    return col, sign
+
+
+def _stabilizer_blocks(
+    graph: PeriodCellGraph, theta: np.ndarray, A: sp.csr_matrix, D: np.ndarray, V: sp.csr_matrix | None
+) -> list[tuple[sp.csr_matrix, np.ndarray, int]]:
+    """The real pencil (A, D) at theta split into (K, M, copies) blocks by
+    a commuting set of up to ``graph.ndim`` verified involutive symmetries
+    h whose character maps fix theta; [(A, D, 1)] if there is none.
+
+    u -> u o h keeps the theta-periodic functions and both forms, so it
+    commutes with the pencil.  In the pencil's coordinates it is the
+    monomial U_h of ``_class_map`` at a real theta and V^T U_h conj(V)
+    after ``_real_form``; h is used only where that is a real signed
+    permutation S_h.  The S_h of commuting h commute, and block eps holds
+    the joint eigenvectors with S_h = eps_h: per orbit of coordinates under
+    the group they generate, the signed orbit sum with entries
+    +-1/sqrt(|orbit|), where the orbit's stabilizer allows it.  Each
+    block's stiffness is summed from A's stored entries, with no sparse
+    products, and its masses are orbit means of D: the block diagonal of
+    the pencil averaged over the group.  Every group element keeps each form to the verified mismatch e,
+    so by the min-max argument of ``band_structure`` the average moves each
+    eigenvalue by a factor of at most (1 + e) / (1 - e).
+
+    A verified symmetry s that fixes theta and sends every generator h_i
+    to a generator, s h_i s^-1 = h_pi(i), maps block eps onto the block
+    with signs eps_pi(i): the two share a spectrum up to the same mismatch,
+    so only the first of such twins is kept, with a copy count."""
+    fixing = [
+        perm for perm, target, sign in graph.verified_symmetries()
+        if np.array_equal(_moved_character(theta, target, sign), theta)
+    ]
+    n = A.shape[0]
+    gens: list[np.ndarray] = []
+    group = [np.arange(graph.nv)]
+    cols, signs = [np.arange(n)], [np.ones(n)]  # group element e sends e_o to signs[e][o] e_cols[e][o]
+    for perm in fixing:
+        if len(gens) == graph.ndim:
+            break
+        if not _involutive(perm) or any(np.array_equal(perm, g) for g in group):
+            continue
+        if any(not np.array_equal(perm[h], h[perm]) for h in gens):
+            continue
+        image, d = _class_map(graph, perm, theta)
+        U = sp.csr_matrix((d, (np.arange(n), image)), shape=(n, n))
+        signed = _signed_permutation(U if V is None else V.T @ U @ V.conj())
+        if signed is None:
+            continue
+        col, sgn = signed
+        gens.append(perm)
+        group += [perm[g] for g in group]
+        cols, signs = cols + [col[c] for c in cols], signs + [s * sgn[c] for c, s in zip(cols, signs)]
+    if not gens:
+        return [(A, D, 1)]
+
+    C, G = np.array(cols), np.array(signs)
+    n_el = len(C)
+    coord = np.arange(n)
+    to_rep = C.argmin(axis=0)  # a group element sending o to its orbit's representative
+    rep = C[to_rep, coord]
+    fixed = C == coord
+    size = n_el // np.count_nonzero(fixed, axis=0)
+    # character of block b at element e: the product of its signs eps_i
+    # over the generators in e; chi_b(e) chi_b(f) = chi_b(e ^ f)
+    chi = np.array([[(-1.0) ** bin(b & e).count("1") for e in range(n_el)] for b in range(n_el)])
+    # block b's row of each coordinate's orbit sum, -1 where the orbit's
+    # stabilizer acts with the wrong sign and the sum vanishes.  The sum's
+    # entry at o is chi_b(to_rep[o]) G[to_rep[o], o] / sqrt(size[o])
+    index = []
+    for b in range(n_el):
+        alive = ~np.any(fixed & (chi[b][:, None] * G != 1.0), axis=0)[rep]
+        j = np.full(n, -1)
+        j[alive] = (np.cumsum(alive & (rep == coord)) - 1)[rep[alive]]
+        index.append(j)
+
+    twin = list(range(n_el))
+    for s in fixing if len(gens) > 1 else ():
+        s_inv = np.empty_like(s)
+        s_inv[s] = np.arange(len(s))
+        pi = [next((i for i, h in enumerate(gens) if np.array_equal(s[g[s_inv]], h)), None) for g in gens]
+        if None in pi:
+            continue
+        for b in range(n_el):
+            b2 = sum(1 << i for i, p in enumerate(pi) if b >> p & 1)
+            low = min(twin[b], twin[b2])
+            twin = [low if t in (twin[b], twin[b2]) else t for t in twin]
+
+    # A[r, c] adds chi_b(x) w to every block at its pair of orbits, with
+    # x = to_rep[r] ^ to_rep[c]: sum the w per orbit pair and x once, then
+    # take each block's values by its character
+    coo = A.tocoo()
+    r, c = coo.row, coo.col
+    er, ec = to_rep[r], to_rep[c]
+    w = coo.data * G[er, r] * G[ec, c] / np.sqrt(size[r] * size[c])
+    W = sp.csr_matrix((w, (rep[r], rep[c] * n_el + (er ^ ec))), shape=(n, n * n_el))
+    W.sum_duplicates()  # and sorts each row's columns
+    pair_row = np.repeat(coord, np.diff(W.indptr))
+    pair_col, x = np.divmod(W.indices, n_el)
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (np.diff(pair_row) != 0) | (np.diff(pair_col) != 0)
+    pair = np.cumsum(first) - 1
+    pair_row, pair_col = pair_row[first], pair_col[first]
+    blocks = []
+    for b in range(n_el):
+        if twin[b] != b:
+            continue
+        j = index[b]
+        nb = int(j.max()) + 1
+        values = np.bincount(pair, weights=chi[b][x] * W.data)
+        keep = (j[pair_row] >= 0) & (j[pair_col] >= 0) & (values != 0.0)
+        # rows and columns keep the order of the orbit representatives
+        rows = j[pair_row[keep]]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nb))])
+        Kb = sp.csr_matrix((values[keep], j[pair_col[keep]], indptr), shape=(nb, nb))
+        # a pair and its mirror may sum their entries in another order
+        Kb = ((Kb + Kb.T) * 0.5).tocsr()
+        live = j >= 0
+        Mb = np.bincount(j[live], weights=D[live] / size[live], minlength=nb)
+        blocks.append((Kb, Mb, twin.count(b)))
+    return blocks
 
 
 def theta_spectrum(graph: PeriodCellGraph, theta: Sequence[complex], k: int) -> np.ndarray:
@@ -625,12 +853,19 @@ def theta_spectrum(graph: PeriodCellGraph, theta: Sequence[complex], k: int) -> 
     repeated by multiplicity.
 
     A complex pencil is solved in real arithmetic where ``_real_form``
-    finds a symmetry for theta, on the pencil averaged over it: within the
-    verified mismatch SYMMETRY_RTOL of the original (see
-    ``band_structure``)."""
+    finds a symmetry for theta, on the pencil averaged over it.  A real
+    pencil above DENSE_LIMIT unknowns is solved in the blocks of the
+    symmetries that fix theta (``_stabilizer_blocks``), on the pencil
+    averaged over them.  Each average stays within the verified mismatch
+    SYMMETRY_RTOL of the original (see ``band_structure``), far inside the
+    inertia certificate's margin."""
     K, M = folded_matrices(graph, theta)
+    theta = np.asarray(theta, dtype=complex)
+    V = None
     if np.any(K.data.imag):
-        K, M = _real_form(graph, np.asarray(theta, dtype=complex), K, M)
+        K, M, V = _real_form(graph, theta, K, M)
+    if K.shape[0] > DENSE_LIMIT and not np.any(K.data.imag):
+        return _block_eigenvalues(_stabilizer_blocks(graph, theta, K.real, M, V), k)
     return _smallest_eigenvalues(K, M, k)
 
 
@@ -696,9 +931,16 @@ def band_structure(graph: PeriodCellGraph, theta_resolution: int, K: int) -> Ban
     an orbit on the square has at most 8 characters: far inside
     _CERTIFY_GAP, so the inertia certificate of the solved row covers the
     copies.  The same bound covers a row that ``theta_spectrum`` solves in
-    real form, on the pencil averaged over one symmetry (``_real_form``).
-    The demo cell is symmetric to 4.4e-16 (masses) and 1.2e-15 (weights),
-    the rounding of its ring angles.
+    real form, on the pencil averaged over one symmetry (``_real_form``),
+    and in stabilizer blocks, on the pencil averaged over the group of up
+    to ndim commuting involutions that fix theta (``_stabilizer_blocks``):
+    each map of the group moves every form by a factor in [1 - e, 1 + e],
+    so their average does too.  A twin block's values, copied from a block
+    that one more symmetry maps onto it, are one map further off.  A row
+    so passes through at most three maps before its orbit copies, and the
+    bound stays far inside _CERTIFY_GAP.  The demo cell is symmetric to
+    4.4e-16 (masses) and 1.2e-15 (weights), the rounding of its ring
+    angles.
     """
     points = theta_grid(theta_resolution, graph.ndim)
     orbit = character_orbits(graph, theta_resolution)

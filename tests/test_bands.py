@@ -571,6 +571,48 @@ def demo_graph():
     return build_cell_graph(holes=[(0.5, 0.5, 0.05, 0.3)], cell_size=1.0, grid=GridSpec(64))
 
 
+def without_symmetries(graph):
+    """The same cell graph with no symmetry candidates: every character is
+    solved as one pencil."""
+    return dataclasses.replace(graph, symmetry_candidates=())
+
+
+def count_live_factors(monkeypatch, solve):
+    """Run ``solve`` and return the number of live SuperLU factors when
+    each factorization starts, and the k of each Lanczos call.  SuperLU
+    objects take no weak references: a proxy counts the live factors."""
+    live = [0]
+    at_start = []
+    splu, eigsh = bands.spla.splu, bands.spla.eigsh
+
+    class Factor:
+        def __init__(self, lu):
+            self._lu = lu
+            live[0] += 1
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def __del__(self):
+            live[0] -= 1
+
+    def counting_splu(*args, **kwargs):
+        at_start.append(live[0])
+        return Factor(splu(*args, **kwargs))
+
+    calls = []
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(bands.spla, "splu", counting_splu)
+    monkeypatch.setattr(bands.spla, "eigsh", counting_eigsh)
+    solve()
+    assert live[0] == 0
+    return at_start, calls
+
+
 class TestDenseBranch:
     # a real character solves in real arithmetic (8-byte entries), the
     # other in complex (16-byte)
@@ -629,8 +671,9 @@ class TestSparsePath:
     @pytest.mark.parametrize("graph_name, trimmed", [("demo_graph", True), ("small_demo_graph", False)])
     def test_heap_trimmed_after_each_large_factor(self, monkeypatch, request, graph_name, trimmed):
         # the demo cell's folded matrix has 25908 stored entries, above
-        # _TRIM_NNZ; the half-resolution cell's 7548 are below it
-        g = request.getfixturevalue(graph_name)
+        # _TRIM_NNZ; the half-resolution cell's 7548 are below it.  The
+        # symmetry-free copy keeps the whole pencil in one block
+        g = without_symmetries(request.getfixturevalue(graph_name))
         theta = (1j, -1.0 + 0.0j)
         untrimmed = theta_spectrum(g, theta, 12)
         factors, trims = [], []
@@ -680,40 +723,12 @@ class TestSparsePath:
         ids=["complex", "double-found", "double-rerun-small", "double-rerun"],
     )
     def test_one_factorization_alive_at_a_time(self, monkeypatch, request, graph_name, theta, passes):
-        # SuperLU objects take no weak references: a proxy counts the live
-        # factors, and the count when each factorization starts must be 0
-        g = request.getfixturevalue(graph_name)
-        live = [0]
-        at_start = []
-        splu, eigsh = bands.spla.splu, bands.spla.eigsh
-
-        class Factor:
-            def __init__(self, lu):
-                self._lu = lu
-                live[0] += 1
-
-            def __getattr__(self, name):
-                return getattr(self._lu, name)
-
-            def __del__(self):
-                live[0] -= 1
-
-        def counting_splu(*args, **kwargs):
-            at_start.append(live[0])
-            return Factor(splu(*args, **kwargs))
-
-        calls = []
-
-        def counting_eigsh(*args, **kwargs):
-            calls.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(bands.spla, "splu", counting_splu)
-        monkeypatch.setattr(bands.spla, "eigsh", counting_eigsh)
-        theta_spectrum(g, theta, 12)
+        # the single-pencil path, on the symmetry-free copy of the cell
+        g = without_symmetries(request.getfixturevalue(graph_name))
+        at_start, calls = count_live_factors(monkeypatch, lambda: theta_spectrum(g, theta, 12))
         # one sigma factor and one cut factor per Lanczos pass
         assert len(at_start) == 2 * len(calls) and at_start == [0] * len(at_start)
-        assert live[0] == 0 and len(calls) == passes
+        assert len(calls) == passes
 
     @pytest.mark.parametrize(
         "theta",
@@ -832,6 +847,124 @@ class TestRealForm:
         character_orbits(graph, 4)
         theta_spectrum(graph, OFF_GRID, 4)
         assert len(calls) == 7
+
+
+ORBIT_CHARACTERS = [
+    (1.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, I4), (1.0 + 0.0j, -1.0 + 0.0j),
+    (I4, I4), (I4, -1.0 + 0.0j), (-1.0 + 0.0j, -1.0 + 0.0j),
+]
+ORBIT_IDS = ["1,1", "1,i", "1,-1", "i,i", "i,-1", "-1,-1"]
+
+
+def block_shapes(graph, theta):
+    """(dim, copies) of each stabilizer block of graph's pencil at theta."""
+    theta = np.asarray(theta, dtype=complex)
+    K, M = folded_matrices(graph, theta)
+    V = None
+    if np.any(K.data.imag):
+        K, M, V = bands._real_form(graph, theta, K, M)
+    return [(Kb.shape[0], copies) for Kb, _, copies in bands._stabilizer_blocks(graph, theta, K.real, M, V)]
+
+
+class TestStabilizerBlocks:
+    """A real pencil above DENSE_LIMIT is solved in the joint +-1
+    eigenspaces of the verified involutions that fix its character."""
+
+    # TestRealForm.test_matches_complex_path checks the complex orbit
+    # characters against the unsplit complex pencil
+    @pytest.mark.parametrize(
+        "theta",
+        [(1.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, -1.0 + 0.0j), (-1.0 + 0.0j, -1.0 + 0.0j)],
+        ids=["1,1", "1,-1", "-1,-1"],
+    )
+    def test_matches_unsplit_solve(self, demo_graph, theta):
+        lam = theta_spectrum(demo_graph, theta, 12)
+        unsplit = theta_spectrum(without_symmetries(demo_graph), theta, 12)
+        # the ground state at theta = 1 is zero to rounding
+        assert np.all(np.abs(lam - unsplit) <= 1e-11 * np.maximum(np.abs(unsplit), 1.0))
+        # the inertia check of the benchmark's oracle, on the original pencil
+        K, M = folded_matrices(demo_graph, theta)
+        assert inertia_count(K, M, lam[11] * (1 - 1e-9)) < 12 <= inertia_count(K, M, lam[11] * (1 + 1e-9))
+
+    @pytest.mark.parametrize("theta", ORBIT_CHARACTERS, ids=ORBIT_IDS)
+    def test_block_count(self, demo_graph, theta):
+        # the real characters split by both mirrors, the complex ones by the
+        # one mirror that fixes them; the blocks add up to the pencil
+        shapes = block_shapes(demo_graph, theta)
+        assert len(shapes) + sum(c - 1 for _, c in shapes) == (4 if np.isrealobj(np.real_if_close(theta)) else 2)
+        assert sum(d * c for d, c in shapes) == demo_graph.fold_structure()[2]
+
+    @pytest.mark.parametrize("theta, twins", [
+        ((1.0 + 0.0j, 1.0 + 0.0j), True),
+        ((-1.0 + 0.0j, -1.0 + 0.0j), True),
+        ((1.0 + 0.0j, -1.0 + 0.0j), False),
+    ], ids=["1,1", "-1,-1", "1,-1"])
+    def test_twins(self, small_demo_graph, theta, twins):
+        # the diagonal mirror swaps the two axis mirrors only where it
+        # fixes theta
+        shapes = block_shapes(small_demo_graph, theta)
+        assert [c for _, c in shapes] == ([1, 2, 1] if twins else [1, 1, 1, 1])
+
+    def test_top_up_then_uncertified(self, monkeypatch, small_demo_graph):
+        # one block's count reports one value more than Lanczos can find:
+        # that block gets top-up passes, the others one pass and one count
+        theta = (1.0 + 0.0j, -1.0 + 0.0j)
+        first = block_shapes(small_demo_graph, theta)[0][0]
+        true_count = bands._count_below
+        counted, passes = [], []
+        monkeypatch.setattr(
+            bands, "_count_below",
+            lambda K, M, shift: counted.append(K.shape[0]) or true_count(K, M, shift) + (K.shape[0] == first),
+        )
+        sweep = bands._shift_invert_pass
+        monkeypatch.setattr(
+            bands, "_shift_invert_pass", lambda K, *args: passes.append(K.shape[0]) or sweep(K, *args)
+        )
+        with pytest.raises(GapForgeError, match="not certified"):
+            theta_spectrum(small_demo_graph, theta, 12)
+        assert passes.count(first) == counted.count(first) == 1 + bands._MAX_DEFLATIONS
+        assert len(passes) == len(counted) == 3 + 1 + bands._MAX_DEFLATIONS
+
+    @pytest.mark.parametrize("theta", [(1.0 + 0.0j, -1.0 + 0.0j), OFF_GRID], ids=["real", "complex"])
+    def test_graph_without_symmetry_unchanged(self, theta):
+        graph = build_cell_graph(holes=[(0.513, 0.479, 0.1, 0.3)], grid=GridSpec(32))
+        assert graph.verified_symmetries() == () and graph.fold_structure()[2] > DENSE_LIMIT
+        lam = theta_spectrum(graph, theta, 6)
+        assert np.array_equal(lam, bands._smallest_eigenvalues(*folded_matrices(graph, theta), 6))
+
+    def test_small_pencil_not_split(self, monkeypatch):
+        graph = build_cell_graph(grid=GridSpec(15))
+        theta = (1.0 + 0.0j, 1.0 + 0.0j)
+        assert len(graph.verified_symmetries()) == 7 and graph.fold_structure()[2] <= DENSE_LIMIT
+        expected = bands._smallest_eigenvalues(*folded_matrices(graph, theta), 12)
+        monkeypatch.setattr(bands, "_stabilizer_blocks", None)
+        assert np.array_equal(theta_spectrum(graph, theta, 12), expected)
+
+    @pytest.mark.parametrize("theta, blocks", [((-1.0 + 0.0j, -1.0 + 0.0j), 3), ((I4, -1.0 + 0.0j), 2)])
+    def test_one_factorization_alive_at_a_time(self, monkeypatch, demo_graph, theta, blocks):
+        at_start, calls = count_live_factors(monkeypatch, lambda: theta_spectrum(demo_graph, theta, 12))
+        # a first pass and a count for each solved block, none topped up
+        assert len(calls) == blocks and at_start == [0] * (2 * blocks)
+
+    @pytest.mark.parametrize("theta", [(-1.0 + 0.0j, -1.0 + 0.0j), (I4, -1.0 + 0.0j)], ids=["-1,-1", "i,-1"])
+    def test_heap_trimmed_after_each_large_factor(self, monkeypatch, demo_graph, theta):
+        # the real characters' blocks hold about 6000 stored entries, the
+        # complex ones' about 12500: only the latter pass _TRIM_NNZ
+        untrimmed = theta_spectrum(demo_graph, theta, 12)
+        factors, trims = [], []
+        lu = bands._symmetric_lu
+
+        def recording(K, *args):
+            factors.append((len(trims), K.nnz > bands._TRIM_NNZ))
+            return lu(K, *args)
+
+        monkeypatch.setattr(bands, "_symmetric_lu", recording)
+        monkeypatch.setattr(bands, "_MALLOC_TRIM", lambda pad: trims.append(pad) or 0)
+        lam = theta_spectrum(demo_graph, theta, 12)
+        large = [big for _, big in factors]
+        assert [t for t, _ in factors] == [sum(large[:i]) for i in range(len(factors))]
+        assert trims == [0] * sum(large) and any(large) == (theta[0] == I4)
+        np.testing.assert_allclose(lam, untrimmed, rtol=1e-12)
 
 
 def blas_counts():
