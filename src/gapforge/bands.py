@@ -743,11 +743,13 @@ def _stabilizer_blocks(
     permutation S_h.  The S_h of commuting h commute, and block eps holds
     the joint eigenvectors with S_h = eps_h: per orbit of coordinates under
     the group they generate, the signed orbit sum with entries
-    +-1/sqrt(|orbit|), where the orbit's stabilizer allows it.  Each
-    block's stiffness is summed from A's stored entries, with no sparse
-    products, and its masses are orbit means of D: the block diagonal of
-    the pencil averaged over the group.  Every group element keeps each form to the verified mismatch e,
-    so by the min-max argument of ``band_structure`` the average moves each
+    +-1/sqrt(|orbit|), where the orbit's stabilizer allows it.  These
+    sums are the columns of block eps's orthonormal basis P, built as the
+    signed sum over the group of each orbit's first coordinate.  The
+    block's stiffness is P^T A P and its masses (P o P)^T D, the orbit
+    means of D: the block diagonal of the pencil averaged over the group.
+    Every group element keeps each form to the verified mismatch e, so by
+    the min-max argument of ``band_structure`` the average moves each
     eigenvalue by a factor of at most (1 + e) / (1 - e).
 
     A verified symmetry s that fixes theta and sends every generator h_i
@@ -783,23 +785,11 @@ def _stabilizer_blocks(
 
     C, G = np.array(cols), np.array(signs)
     n_el = len(C)
-    coord = np.arange(n)
-    to_rep = C.argmin(axis=0)  # a group element sending o to its orbit's representative
-    rep = C[to_rep, coord]
-    fixed = C == coord
-    size = n_el // np.count_nonzero(fixed, axis=0)
+    orbit = np.flatnonzero(C.min(axis=0) == np.arange(n))  # the first coordinate of each orbit
+    entries = (C[:, orbit].ravel(), np.tile(np.arange(len(orbit)), n_el))  # (row, column) of P's terms
     # character of block b at element e: the product of its signs eps_i
     # over the generators in e; chi_b(e) chi_b(f) = chi_b(e ^ f)
     chi = np.array([[(-1.0) ** bin(b & e).count("1") for e in range(n_el)] for b in range(n_el)])
-    # block b's row of each coordinate's orbit sum, -1 where the orbit's
-    # stabilizer acts with the wrong sign and the sum vanishes.  The sum's
-    # entry at o is chi_b(to_rep[o]) G[to_rep[o], o] / sqrt(size[o])
-    index = []
-    for b in range(n_el):
-        alive = ~np.any(fixed & (chi[b][:, None] * G != 1.0), axis=0)[rep]
-        j = np.full(n, -1)
-        j[alive] = (np.cumsum(alive & (rep == coord)) - 1)[rep[alive]]
-        index.append(j)
 
     twin = list(range(n_el))
     for s in fixing if len(gens) > 1 else ():
@@ -813,38 +803,21 @@ def _stabilizer_blocks(
             low = min(twin[b], twin[b2])
             twin = [low if t in (twin[b], twin[b2]) else t for t in twin]
 
-    # A[r, c] adds chi_b(x) w to every block at its pair of orbits, with
-    # x = to_rep[r] ^ to_rep[c]: sum the w per orbit pair and x once, then
-    # take each block's values by its character
-    coo = A.tocoo()
-    r, c = coo.row, coo.col
-    er, ec = to_rep[r], to_rep[c]
-    w = coo.data * G[er, r] * G[ec, c] / np.sqrt(size[r] * size[c])
-    W = sp.csr_matrix((w, (rep[r], rep[c] * n_el + (er ^ ec))), shape=(n, n * n_el))
-    W.sum_duplicates()  # and sorts each row's columns
-    pair_row = np.repeat(coord, np.diff(W.indptr))
-    pair_col, x = np.divmod(W.indices, n_el)
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (np.diff(pair_row) != 0) | (np.diff(pair_col) != 0)
-    pair = np.cumsum(first) - 1
-    pair_row, pair_col = pair_row[first], pair_col[first]
     blocks = []
     for b in range(n_el):
         if twin[b] != b:
             continue
-        j = index[b]
-        nb = int(j.max()) + 1
-        values = np.bincount(pair, weights=chi[b][x] * W.data)
-        keep = (j[pair_row] >= 0) & (j[pair_col] >= 0) & (values != 0.0)
-        # rows and columns keep the order of the orbit representatives
-        rows = j[pair_row[keep]]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nb))])
-        Kb = sp.csr_matrix((values[keep], j[pair_col[keep]], indptr), shape=(nb, nb))
-        # a pair and its mirror may sum their entries in another order
+        # column j of P: sum_e chi_b(e) G[e, o] e_C[e, o], o = orbit[j].  Its
+        # entries are +-|stabilizer|, or 0 where the stabilizer acts with the
+        # wrong sign; the columns keep the order of the orbit representatives
+        P = sp.csc_matrix(((chi[b][:, None] * G[:, orbit]).ravel(), entries), shape=(n, len(orbit)))
+        P.eliminate_zeros()
+        P = P[:, np.diff(P.indptr) > 0]
+        P.data = np.sign(P.data) * np.sqrt(np.abs(P.data) / n_el)  # +-1/sqrt(|orbit|)
+        # the product may sum (i, j) and (j, i) in another order
+        Kb = P.T @ A @ P
         Kb = ((Kb + Kb.T) * 0.5).tocsr()
-        live = j >= 0
-        Mb = np.bincount(j[live], weights=D[live] / size[live], minlength=nb)
-        blocks.append((Kb, Mb, twin.count(b)))
+        blocks.append((Kb, P.multiply(P).T @ D, twin.count(b)))
     return blocks
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import permutations, product
 import tracemalloc
 
 import numpy as np
@@ -856,14 +857,20 @@ ORBIT_CHARACTERS = [
 ORBIT_IDS = ["1,1", "1,i", "1,-1", "i,i", "i,-1", "-1,-1"]
 
 
-def block_shapes(graph, theta):
-    """(dim, copies) of each stabilizer block of graph's pencil at theta."""
+def stabilizer_blocks(graph, theta):
+    """The stabilizer blocks of graph's pencil at theta, made real first
+    as ``theta_spectrum`` does."""
     theta = np.asarray(theta, dtype=complex)
     K, M = folded_matrices(graph, theta)
     V = None
     if np.any(K.data.imag):
         K, M, V = bands._real_form(graph, theta, K, M)
-    return [(Kb.shape[0], copies) for Kb, _, copies in bands._stabilizer_blocks(graph, theta, K.real, M, V)]
+    return bands._stabilizer_blocks(graph, theta, K.real, M, V)
+
+
+def block_shapes(graph, theta):
+    """(dim, copies) of each stabilizer block of graph's pencil at theta."""
+    return [(Kb.shape[0], copies) for Kb, _, copies in stabilizer_blocks(graph, theta)]
 
 
 class TestStabilizerBlocks:
@@ -965,6 +972,115 @@ class TestStabilizerBlocks:
         assert [t for t, _ in factors] == [sum(large[:i]) for i in range(len(factors))]
         assert trims == [0] * sum(large) and any(large) == (theta[0] == I4)
         np.testing.assert_allclose(lam, untrimmed, rtol=1e-12)
+
+
+def flat_cube_graph(N):
+    """The periodic N x N x N flat grid of the unit cube: (N + 1)^3
+    vertices, masses h^3 and conductances h, halved on every face they lie
+    on, with the 47 non-identity symmetries of the cube as candidates."""
+    h = 1.0 / N
+    shape = (N + 1,) * 3
+    idx = np.arange((N + 1) ** 3).reshape(shape)
+    x = np.indices(shape).reshape(3, -1)
+    on_face = (x == 0) | (x == N)
+    edges, weights = [], []
+    for d in range(3):
+        lo = np.take(idx, np.arange(N), axis=d).ravel()
+        edges.append(np.stack([lo, np.take(idx, np.arange(1, N + 1), axis=d).ravel()], axis=1))
+        # an edge along d lies on the faces of the other directions at its ends
+        weights.append(h * 0.5 ** np.delete(on_face, d, axis=0)[:, lo].sum(axis=0))
+    boundary_pairs = tuple(
+        (int(a), int(b), d + 1)
+        for d in range(3)
+        for a, b in zip(np.take(idx, 0, axis=d).ravel(), np.take(idx, N, axis=d).ravel())
+    )
+    candidates = tuple(
+        idx[tuple(np.where(np.array(signs)[:, None] > 0, x[list(axes)], N - x[list(axes)]))]
+        for axes in permutations(range(3))
+        for signs in product((1, -1), repeat=3)
+        if axes != (0, 1, 2) or signs != (1, 1, 1)
+    )
+    return PeriodCellGraph(
+        masses=h**3 * 0.5 ** on_face.sum(axis=0),
+        edges=np.concatenate(edges),
+        weights=np.concatenate(weights),
+        boundary_pairs=boundary_pairs,
+        ndim=3,
+        symmetry_candidates=candidates,
+    )
+
+
+class TestCubeSplit:
+    """Three commuting mirrors and twin classes of three on the flat 3-D
+    torus, whose spectrum is known in closed form."""
+
+    N = 8
+
+    @pytest.fixture(scope="class")
+    def cube(self):
+        graph = flat_cube_graph(self.N)
+        assert len(graph.verified_symmetries()) == 47
+        return graph
+
+    def exact(self, theta):
+        """(4/h^2) sum_d sin^2((2 pi m_d + phi_d) / 2N) over all m, ascending."""
+        m = np.indices((self.N,) * 3).reshape(3, -1)
+        phi = np.angle(np.asarray(theta))[:, None]
+        return np.sort(4 * self.N**2 * np.sum(np.sin((2 * np.pi * m + phi) / (2 * self.N)) ** 2, axis=0))
+
+    def orbit_characters(self, graph):
+        points = theta_grid(4, 3)
+        orbit = character_orbits(graph, 4)
+        return [p for i, p in enumerate(points) if orbit[i] == i]
+
+    def test_blocks_match_closed_form(self, cube):
+        points = self.orbit_characters(cube)
+        assert len(points) == 10
+        for theta in points:
+            blocks = stabilizer_blocks(cube, theta)
+            lam = np.sort(np.concatenate([
+                np.repeat(scipy.linalg.eigh(Kb.toarray(), np.diag(Mb), eigvals_only=True), copies)
+                for Kb, Mb, copies in blocks
+            ]))
+            exact = self.exact(theta)
+            assert np.max(np.abs(lam - exact)) <= 1e-13 * exact[-1], theta
+
+    def test_theta_spectrum_matches_closed_form(self, cube):
+        for theta in self.orbit_characters(cube):
+            lam = theta_spectrum(cube, theta, 10)
+            exact = self.exact(theta)[:10]
+            assert np.all(np.abs(lam - exact) <= 1e-11 * np.maximum(exact, 1.0)), theta
+
+    @pytest.mark.parametrize("theta, shapes", [
+        ((1.0 + 0.0j,) * 3, [(125, 1), (75, 3), (45, 3), (27, 1)]),
+        ((-1.0 + 0.0j,) * 3, [(64, 1), (64, 3), (64, 3), (64, 1)]),
+    ], ids=["1,1,1", "-1,-1,-1"])
+    def test_block_shapes(self, cube, theta, shapes):
+        # the three axis mirrors generate the group; the axis permutations
+        # make twins of the blocks with as many minus signs
+        assert block_shapes(cube, theta) == shapes
+
+
+class TestSignedPermutation:
+    def test_rounded_phases_come_back_exact(self):
+        S = sp.csr_matrix(np.array([[0, 1 + 4.4e-16, 0], [1 - 1.1e-16j, 0, 0], [0, 0, -1 + 2.2e-16]]))
+        col, sign = bands._signed_permutation(S)
+        assert col.tolist() == [1, 0, 2]
+        assert sign.dtype == np.float64 and sign.tolist() == [1.0, 1.0, -1.0]
+
+    def test_stray_entry_dropped(self):
+        S = sp.csr_matrix(np.array([[0.0, 1.0, 1e-15], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]))
+        col, sign = bands._signed_permutation(S)
+        assert col.tolist() == [1, 0, 2] and sign.tolist() == [1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("S", [
+        [[0.6, 0.8], [0.8, -0.6]],
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1j]],
+    ], ids=["reflection", "3-cycle", "rotation", "phase-i"])
+    def test_not_a_signed_involution(self, S):
+        assert bands._signed_permutation(sp.csr_matrix(np.array(S))) is None
 
 
 def blas_counts():
